@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import diffusivity_from_peclet, match_iterations, peclet_number
+from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import fit_stretched_exponential
 from .io import (
     export_collapse,
@@ -37,16 +37,8 @@ from .io import (
     export_ensemble,
 )
 from .lattice import Protocol, Ratio, iterate, total_length
-from .metrics import compute_series
 from .permutations import enumerate_allowed, is_allowed, violations
-from .runner import (
-    SteepeningRow,
-    collapse,
-    run_ensemble,
-    steepening_report,
-    table_one,
-)
-from .stopping import solve_stopping_time
+from .runner import collapse, run_ensemble, steepening_report, table_one
 import itertools
 
 
@@ -136,14 +128,11 @@ def _cmd_simulate(args) -> int:
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     out = _out_dir(args)
     fmt = args.format or "pgm"
-    if args.metrics_only or fmt == "json":
-        record = iterate(protocol, record_metrics_only=True, p=p)
-        series = record.series
-    else:
-        record = iterate(protocol, p=p)
-        series = compute_series(record, p)
+    raster = not (args.metrics_only or fmt == "json")
+    record = iterate(protocol, record_metrics_only=not raster, p=p)
+    if raster:
         export_spacetime(record, out / f"spacetime.{fmt}", fmt)
-    export_series(series, out / "series.csv")
+    export_series(record.series, out / "series.csv")
     export_metadata(protocol, out / "metadata.json", p)
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
@@ -197,13 +186,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    with open(args.series) as fh:
+    col = args.column or "mixing_norm"
+    with open(args.series, newline="") as fh:
         reader = csv.DictReader(fh)
-        col = args.column or "mixing_norm"
-        t, y = [], []
-        for row in reader:
-            t.append(float(row["T"]))
-            y.append(float(row[col]))
+        for name in ("T", col):
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{args.series}: no column {name!r}")
+        rows = list(reader)
+    if not rows:
+        raise ValueError(f"{args.series}: no data rows")
+    t = [float(row["T"]) for row in rows]
+    y = [float(row[col]) for row in rows]
     m = args.m if args.m is not None else y[0]
     fit = fit_stretched_exponential(np.array(t), np.array(y), m)
     payload = {
@@ -253,21 +246,10 @@ def _cmd_stopping_time(args) -> int:
     t_max = _resolve_tmax(args, length)
     pes = sorted(float(v) for v in args.pe)
     p = _norm_order(args)
-    if args.steepening:
-        rows = steepening_report(
-            args.n, ratio, t_max, pes, p=p,
-            use_mean_lengths=args.lm_mode == "length",
-        )
-    else:
-        base = run_ensemble(args.n, ratio, 0.0, t_max, p=p)
-        lengths_curve = base.avg_subseg if args.lm_mode == "length" else None
-        rows = []
-        for pe in pes:
-            sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
-            rows.append(
-                SteepeningRow(pe=pe, d=length * length / (pe * t_max), solution=sol,
-                              max_slope=None)
-            )
+    rows = steepening_report(
+        args.n, ratio, t_max, pes, p=p,
+        use_mean_lengths=args.lm_mode == "length", max_slopes=args.steepening,
+    )
     export_steepening(rows, out / "stopping_times.csv")
     for row in rows:
         sol = row.solution
@@ -369,4 +351,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1

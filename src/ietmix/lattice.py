@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import StabilityError, diffusion_step
-from .metrics import MetricSeries, _series_from_rows, _snapshot, average_color
+from .diffusion import StabilityError
+from .metrics import MetricSeries, _make_series
 from .permutations import Perm, as_permutation
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
@@ -164,11 +164,8 @@ class Protocol:
 
 @dataclass(frozen=True)
 class SpaceTimeRecord:
-    """Per-iteration history of one run.
-
-    Either the full fields (t_max+1 rows of L sites) or, for long runs
-    on big lattices, just the metric snapshots collected on the fly.
-    """
+    """Per-iteration history of one run: its metric series and, unless
+    the run was metrics-only, the full fields (t_max+1 rows of L sites)."""
 
     protocol: Protocol
     fields: np.ndarray | None
@@ -192,40 +189,142 @@ def _shuffle_indices(protocol: Protocol) -> np.ndarray:
     )
 
 
+def _gather(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = flat[index] without allocating; index is always in range."""
+    np.take(flat, index, out=out.reshape(-1), mode="clip")
+
+
+def _runs(block: np.ndarray, starts_mask: np.ndarray, bounds: np.ndarray):
+    """Cut count and longest run of equal values of every row of block.
+
+    starts_mask is a flat boolean buffer of block.size + 1 entries whose
+    every row start and last entry are set, so no run crosses a row
+    boundary and the last run has an end; bounds are the flat row starts
+    0, L, ..., P * L.
+    """
+    mask = starts_mask[:-1].reshape(block.shape)
+    np.not_equal(block[:, 1:], block[:, :-1], out=mask[:, 1:])
+    starts = np.flatnonzero(starts_mask)
+    heads = np.searchsorted(starts, bounds)  # each row's first run, then the end
+    longest = np.maximum.reduceat(starts[1:] - starts[:-1], heads[:-1])
+    return heads[1:] - heads[:-1] - 1, longest
+
+
+def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[float]:
+    """metrics.mixing_norm of every row of block, bit for bit.
+
+    Each row's sorted deviations are summed along the row; the final
+    root is Python float pow, since np.power on arrays can differ from
+    the scalar pow of the single-field metric by one ulp.
+    """
+    dev = np.abs(np.subtract(block, cbar, out=work), out=work)
+    powed = np.multiply(dev, dev, out=work) if p == 2 else dev**p
+    powed.sort(axis=1)
+    return [s ** (1.0 / p) for s in (powed.sum(axis=1) / block.shape[1]).tolist()]
+
+
+def evolve(
+    n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
+    fields: np.ndarray | None = None,
+) -> tuple[MetricSeries, ...]:
+    """Run every shuffle order of one (N, r, D, T_max) family at once.
+
+    The P orders evolve as one C-contiguous (P, L) block, row k holding
+    the field of permutations[k]. T = 0 is the initial field; iteration
+    T shuffles and then, when D > 0, applies one diffusion sweep. Both
+    are fused into gathers from the previous block through precomputed
+    flat index maps (sigma, roll(sigma, -1) and roll(sigma, 1), offset
+    by row * L) followed by the arithmetic of diffusion_step, so each
+    row is bit-identical to composing shuffle_step and diffusion_step.
+    The diagnostics of every iteration are evaluated along rows into
+    (P, T_max+1) arrays and equal compute_series on that row's fields
+    bit for bit. Without diffusion each state is a permutation of the
+    initial field, and the norm sums sorted deviations, so the norm is
+    evaluated once at T = 0.
+
+    fields, a (T_max+1, L) float64 array and only for P = 1, also
+    receives every state. Returns one MetricSeries (at norm order p) per
+    order, in the given order.
+    """
+    protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
+                 for q in permutations]
+    if not protocols:
+        raise ValueError("ensemble needs at least one permutation")
+    if p < 1:
+        raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    d, t_max, p = protocols[0].d, protocols[0].t_max, float(p)
+    field = initial_field(n, ratio)
+    rows, length = len(protocols), field.size
+    if fields is not None and (rows != 1 or fields.shape != (t_max + 1, length)):
+        raise ValueError(f"fields must be ({t_max + 1}, {length}) for a single order")
+
+    bounds = np.arange(rows + 1, dtype=np.intp) * length
+    sigma = np.stack([_shuffle_indices(q) for q in protocols]) + bounds[:-1, None]
+    # Flat gather maps into the previous block: own sites, then the
+    # right (c_{i+1}) and left (c_{i-1}) neighbors after the shuffle.
+    own_ix = sigma.ravel() if d != 0.5 else None
+    right_ix = np.roll(sigma, -1, axis=1).ravel() if d > 0.0 else None
+    left_ix = np.roll(sigma, 1, axis=1).ravel() if d > 0.0 else None
+    block = np.empty((rows, length))
+    block[:] = field
+    new, own, right, left, work = (np.empty_like(block) for _ in range(5))
+    starts_mask = np.empty(block.size + 1, dtype=bool)
+    starts_mask[bounds] = True
+
+    cuts = np.empty((rows, t_max + 1), dtype=np.int64)
+    longest = np.empty((rows, t_max + 1), dtype=np.int64)
+    norms = np.empty((rows, t_max + 1))
+    colors = np.empty((rows, t_max + 1))
+    cbar = float(field.mean())
+    if d == 0.0:
+        norms[:] = _norms(block[:1], work[:1], cbar, p)[0]
+    for t in range(t_max + 1):
+        if t > 0:
+            flat = block.reshape(-1)
+            if d == 0.0:
+                _gather(flat, own_ix, new)
+            elif d == 0.5:
+                _gather(flat, right_ix, right)
+                _gather(flat, left_ix, left)
+                np.multiply(np.add(right, left, out=new), 0.5, out=new)
+            else:
+                _gather(flat, own_ix, own)
+                _gather(flat, right_ix, right)
+                _gather(flat, left_ix, left)
+                np.subtract(right, own, out=right)
+                np.subtract(left, own, out=left)
+                np.add(right, left, out=right)
+                np.add(own, np.multiply(right, d, out=right), out=new)
+            block, new = new, block
+        if fields is not None:
+            fields[t] = block[0]
+        cuts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
+        if d > 0.0:
+            norms[:, t] = _norms(block, work, cbar, p)
+        colors[:, t] = block.mean(axis=1)
+
+    unmixed = 100.0 * longest / length
+    return tuple(
+        _make_series(cuts[k], unmixed[k], norms[k], colors[k], p, cbar,
+                     runs_exact=d == 0.0)
+        for k in range(rows)
+    )
+
+
 def iterate(
     protocol: Protocol, record_metrics_only: bool = False, p: float = 2.0
 ) -> SpaceTimeRecord:
-    """Run the full shuffle/diffuse loop, recording every iteration.
+    """Run one protocol: evolve with a single order, recording every iteration.
 
-    T = 0 is the initial field; iteration T applies the shuffle and then
-    one diffusion sweep when D > 0, and records afterwards. The cuts sit
-    at the same absolute sites every iteration, so the shuffle is a
-    single fixed site permutation precomputed once. Equal protocols give
+    The record carries the metric series at norm order p and, unless
+    record_metrics_only is set, every field; metrics-only records keep
+    memory bounded for long runs on big lattices. Equal protocols give
     bit-identical records.
-
-    With record_metrics_only the fields are dropped on the fly and only
-    the metric series (at norm order p) is kept, bounding memory for
-    long runs.
     """
-    sigma = _shuffle_indices(protocol)
-    field = initial_field(protocol.n, protocol.ratio)
-
+    fields = None
     if not record_metrics_only:
-        out = np.empty((protocol.t_max + 1, field.size), dtype=np.float64)
-        out[0] = field
-        for t in range(1, protocol.t_max + 1):
-            field = field[sigma]
-            if protocol.d > 0.0:
-                field = diffusion_step(field, protocol.d)
-            out[t] = field
-        return SpaceTimeRecord(protocol, out)
-
-    cbar = average_color(field)
-    rows = [_snapshot(field, cbar, p)]
-    for _ in range(protocol.t_max):
-        field = field[sigma]
-        if protocol.d > 0.0:
-            field = diffusion_step(field, protocol.d)
-        rows.append(_snapshot(field, cbar, p))
-    series = _series_from_rows(rows, p, cbar, runs_exact=protocol.d == 0.0)
-    return SpaceTimeRecord(protocol, None, series)
+        length = total_length(protocol.n, protocol.ratio)
+        fields = np.empty((protocol.t_max + 1, length))
+    (series,) = evolve(protocol.n, protocol.ratio, protocol.d, protocol.t_max,
+                       [protocol.permutation], p=p, fields=fields)
+    return SpaceTimeRecord(protocol, fields, series)

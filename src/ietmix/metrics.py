@@ -76,16 +76,6 @@ def mean_subsegment_length(n_cuts: int) -> float:
     return 1.0 / (n_cuts + 1.0)
 
 
-def _snapshot(field, cbar: float, p: float) -> tuple[int, float, float, float]:
-    """(cut count, percent unmixed, mixing norm, mean) for one field."""
-    return (
-        cut_count(field),
-        percent_unmixed(field),
-        mixing_norm(field, cbar, p),
-        average_color(field),
-    )
-
-
 @dataclass(frozen=True)
 class MetricSeries:
     """Per-iteration mixing diagnostics of one run.
@@ -110,15 +100,16 @@ class MetricSeries:
         return self.t.size
 
 
-def _series_from_rows(rows, p: float, cbar: float, runs_exact: bool) -> MetricSeries:
-    cuts = np.array([r[0] for r in rows], dtype=np.int64)
+def _make_series(cuts, unmixed, norms, colors, p: float, cbar: float,
+                 runs_exact: bool) -> MetricSeries:
+    """A MetricSeries from per-iteration metric arrays; T runs from 0."""
     return MetricSeries(
-        t=np.arange(len(rows), dtype=np.int64),
+        t=np.arange(cuts.size, dtype=np.int64),
         cut_count=cuts,
-        percent_unmixed=np.array([r[1] for r in rows]),
-        mixing_norm=np.array([r[2] for r in rows]),
+        percent_unmixed=unmixed,
+        mixing_norm=norms,
         mean_subseg_len=1.0 / (cuts + 1.0),
-        mean_color=np.array([r[3] for r in rows]),
+        mean_color=colors,
         p=float(p),
         cbar=float(cbar),
         runs_exact=runs_exact,
@@ -128,9 +119,12 @@ def _series_from_rows(rows, p: float, cbar: float, runs_exact: bool) -> MetricSe
 def compute_series(record: "SpaceTimeRecord", p: float = 2.0) -> MetricSeries:
     """Evaluate every diagnostic at every recorded iteration.
 
-    The norm reference is frozen from the T = 0 field. Metrics-only
-    records already carry their series; asking for a different p than
-    they were collected with is an error rather than a silent recompute.
+    The norm reference is frozen from the T = 0 field. Fields are scored
+    one at a time by the single-field metrics above; this is the
+    reference the batched kernel (lattice.evolve) is checked against.
+    Metrics-only records already carry their series; asking for a
+    different p than they were collected with is an error rather than a
+    silent recompute.
     """
     if record.fields is None:
         series = record.series
@@ -141,6 +135,14 @@ def compute_series(record: "SpaceTimeRecord", p: float = 2.0) -> MetricSeries:
                 f"record was collected at p={series.p}; cannot re-evaluate at p={p}"
             )
         return series
-    cbar = average_color(record.fields[0])
-    rows = [_snapshot(f, cbar, p) for f in record.fields]
-    return _series_from_rows(rows, p, cbar, runs_exact=record.protocol.d == 0.0)
+    fields = record.fields
+    cbar = average_color(fields[0])
+    return _make_series(
+        np.array([cut_count(f) for f in fields], dtype=np.int64),
+        np.array([percent_unmixed(f) for f in fields]),
+        np.array([mixing_norm(f, cbar, p) for f in fields]),
+        np.array([average_color(f) for f in fields]),
+        p,
+        cbar,
+        runs_exact=record.protocol.d == 0.0,
+    )

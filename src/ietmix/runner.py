@@ -16,7 +16,7 @@ import numpy as np
 
 from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
-from .lattice import Protocol, Ratio, iterate, total_length
+from .lattice import Ratio, evolve, total_length
 from .metrics import MetricSeries
 from .permutations import Perm, enumerate_allowed
 from .stopping import StoppingTimeSolution, solve_stopping_time
@@ -46,6 +46,7 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate every shuffle order and average the metric curves.
 
+    All orders evolve together as one batched block (lattice.evolve).
     Averages are arithmetic means at each iteration, accumulated in the
     listed order, so results are bit-reproducible. For diffusive runs
     the averaged norm is fitted and the e-folding scale attached;
@@ -55,12 +56,7 @@ def run_ensemble(
     if permutations is None:
         permutations = enumerate_allowed(n)
     perms = tuple(tuple(int(v) for v in q) for q in permutations)
-    if not perms:
-        raise ValueError("ensemble needs at least one permutation")
-    all_series = []
-    for perm in perms:
-        proto = Protocol(n=n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
-        all_series.append(iterate(proto, record_metrics_only=True, p=p).series)
+    all_series = evolve(n, ratio, d, t_max, perms, p=p)
     avg_norm = np.mean([s.mixing_norm for s in all_series], axis=0)
     avg_cut = np.mean([s.cut_count for s in all_series], axis=0)
     avg_subseg = np.mean([s.mean_subseg_len for s in all_series], axis=0)
@@ -78,7 +74,7 @@ def run_ensemble(
         t_max=int(t_max),
         p=float(p),
         permutations=perms,
-        series=tuple(all_series),
+        series=all_series,
         avg_norm=avg_norm,
         avg_cut=avg_cut,
         avg_subseg=avg_subseg,
@@ -151,15 +147,17 @@ class SteepeningRow:
 
 def steepening_report(
     n: int, ratio: Ratio, t_max: int, pe_list, p: float = 2.0,
-    use_mean_lengths: bool = False,
+    use_mean_lengths: bool = False, max_slopes: bool = True,
 ) -> list[SteepeningRow]:
-    """Cut-off sharpening across an ascending Peclet sweep.
+    """Stopping times, and the cut-off sharpening, across an ascending Peclet sweep.
 
-    For each Pe: derive the matching diffusivity, run the diffusive
-    ensemble, predict the stopping time from the shared diffusion-free
-    cut curve, and report the steepest descent of norm/M against
-    T / stopping time. A Pe whose crossing never happens yields a
-    flagged row rather than failing the sweep.
+    The diffusion-free ensemble runs once; its cut curve predicts the
+    stopping time of every Pe. Each Pe's diffusivity is derived, and its
+    stability checked, by diffusivity_from_peclet. With max_slopes the
+    diffusive ensemble of each Pe whose crossing happens is run too, and
+    the steepest descent of norm/M against T / stopping time reported;
+    otherwise max_slope stays None. A Pe whose crossing never happens
+    yields a flagged row rather than failing the sweep.
     """
     pe_seq = [float(pe) for pe in pe_list]
     if not pe_seq or pe_seq[0] <= 0:
@@ -167,15 +165,15 @@ def steepening_report(
     if any(b <= a for a, b in zip(pe_seq, pe_seq[1:])):
         raise ValueError("pe_list must be strictly ascending")
     length = total_length(n, ratio)
+    diffusivities = [diffusivity_from_peclet(length, pe, t_max) for pe in pe_seq]
     base = run_ensemble(n, ratio, 0.0, t_max, p=p)
     lengths_curve = base.avg_subseg if use_mean_lengths else None
     rows = []
-    for pe in pe_seq:
-        d = diffusivity_from_peclet(length, pe, t_max)
-        ens = run_ensemble(n, ratio, d, t_max, p=p)
+    for pe, d in zip(pe_seq, diffusivities):
         sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
         max_slope = None
-        if sol.found:
+        if max_slopes and sol.found:
+            ens = run_ensemble(n, ratio, d, t_max, p=p)
             drop = np.abs(np.diff(ens.avg_norm / ens.m))
             max_slope = float(drop.max()) * sol.interpolated
         rows.append(SteepeningRow(pe=pe, d=d, solution=sol, max_slope=max_slope))

@@ -117,6 +117,30 @@ def test_fit_verb_on_simulated_series(tmp_path, capsys):
     assert 0.1 <= payload["alpha"] <= 2.0
 
 
+def test_fit_rejects_header_only_series(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("T,cut_count,percent_unmixed,mixing_norm,mean_subseg_len\n")
+    assert run_cli("fit", "--series", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "series.csv" in err and "no data rows" in err
+
+
+def test_fit_rejects_missing_column(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("T,cut_count\n0,3\n1,3\n")
+    assert run_cli("fit", "--series", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mixing_norm'" in err
+
+
+def test_oversized_lattice_reports_memory_error(tmp_path, capsys):
+    # L is about 9.4e16 sites: inside the 64-bit capacity, far beyond memory.
+    code = run_cli("simulate", "--n", "9", "--ratio", "101/100",
+                   "--perm", "9,8,7,6,5,4,3,2,1", "--tmax", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: out of memory")
+
+
 def test_sweep_exports_bundles_and_scatter(tmp_path, capsys):
     code = run_cli(
         "sweep", "--n", "4", "--ratio", "3/2", "--ratio", "5/4",
@@ -130,8 +154,10 @@ def test_sweep_exports_bundles_and_scatter(tmp_path, capsys):
 
 
 def test_stopping_time_verb(tmp_path, capsys):
+    # tmax = 200 keeps D = L^2 / (Pe tmax) at 0.42 and 0.21, inside the
+    # stable window.
     code = run_cli(
-        "stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "60",
+        "stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
         "--pe", "50", "--pe", "100", "--out", str(tmp_path),
     )
     assert code == 0
@@ -142,6 +168,15 @@ def test_stopping_time_verb(tmp_path, capsys):
     assert len(rows) == 3
     cfg = json.loads((tmp_path / "config.json").read_text())
     assert cfg["lm_mode"] == "count"
+
+
+def test_stopping_time_rejects_unstable_peclet(tmp_path, capsys):
+    # Pe = 10 with tmax = 5 on L = 369 needs D = 2723 > 1/2.
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "5/4", "--tmax", "5",
+                   "--pe", "10", "--out", str(tmp_path))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "stopping_times.csv").exists()
 
 
 def test_stopping_time_length_mode_differs(tmp_path, capsys):

@@ -87,6 +87,14 @@ def test_steepening_report_rows():
     assert rows[0].solution.iteration <= rows[1].solution.iteration
 
 
+def test_stopping_rows_without_slopes_skip_the_diffusive_ensembles():
+    full = steepening_report(4, Ratio(3, 2), 120, [80.0, 160.0])
+    bare = steepening_report(4, Ratio(3, 2), 120, [80.0, 160.0], max_slopes=False)
+    assert [row.solution for row in bare] == [row.solution for row in full]
+    assert [row.d for row in bare] == [row.d for row in full]
+    assert all(row.max_slope is None for row in bare)
+
+
 def test_steepening_flags_unreachable_crossings():
     rows = steepening_report(4, Ratio(3, 2), 120, [80.0, 1e8])
     assert rows[1].solution.found is False
