@@ -10,14 +10,18 @@ Verbs:
   table1             lattice size and matched iteration budget per ratio
 
 Any value flag can also come from a JSON config file (--config, keys
-named like the flag destinations); explicit flags win. Every output
-directory gets the resolved configuration written beside the data.
+named like the flag destinations); explicit flags win. Config values are
+converted like the flag's own text would be, and an unknown key is an
+error. Output directories are created only once the inputs have been
+checked; every one gets the resolved configuration written beside the
+data.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -37,9 +41,8 @@ from .io import (
     export_ensemble,
 )
 from .lattice import Protocol, Ratio, iterate, total_length
-from .permutations import enumerate_allowed, is_allowed, violations
+from .permutations import enumerate_allowed, violations
 from .runner import collapse, run_ensemble, steepening_report, table_one
-import itertools
 
 
 def _add_common(sub):
@@ -66,14 +69,45 @@ def _add_protocol_flags(sub, ratio_repeats: bool):
     sub.add_argument("--p", type=float, help="mixing-norm order (default 2)")
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key, value in cfg.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-    return args
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value converted as the flag's command-line text would be."""
+    if action.nargs == 0:  # on/off switch
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    converted = []
+    for item in items:
+        if isinstance(item, (bool, list, dict)):
+            raise ValueError(f"config key {key!r}: expected one value, got {item!r}")
+        try:
+            item = action.type(str(item)) if action.type else str(item)
+        except ValueError:
+            kind = getattr(action.type, "__name__", "value")
+            raise ValueError(f"config key {key!r}: not a valid {kind}: {item!r}") from None
+        if action.choices is not None and item not in action.choices:
+            raise ValueError(f"config key {key!r}: {item!r} is not one of {list(action.choices)}")
+        converted.append(item)
+    return converted if repeatable else converted[0]
+
+
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill the flags left unset from the --config file, if one is given."""
+    if not getattr(args, "config", None):
+        return
+    with open(args.config) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    for key, value in cfg.items():
+        action = args.flags.get(key)
+        if action is None:
+            raise ValueError(f"{args.config}: unknown config key {key!r}")
+        current = getattr(args, key)
+        # Value flags default to None and switches to False: both mean unset.
+        if value is not None and (current is None or current is False):
+            setattr(args, key, _config_value(action, key, value))
 
 
 def _out_dir(args) -> Path:
@@ -126,10 +160,10 @@ def _cmd_simulate(args) -> int:
     perm = tuple(int(v) for v in str(args.perm).split(","))
     p = _norm_order(args)
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
-    out = _out_dir(args)
     fmt = args.format or "pgm"
     raster = not (args.metrics_only or fmt == "json")
     record = iterate(protocol, record_metrics_only=not raster, p=p)
+    out = _out_dir(args)
     if raster:
         export_spacetime(record, out / f"spacetime.{fmt}", fmt)
     export_series(record.series, out / "series.csv")
@@ -148,29 +182,32 @@ def _cmd_list_permutations(args) -> int:
     if args.rejected:
         print()
         for perm in itertools.permutations(range(1, args.n + 1)):
-            if not is_allowed(perm):
-                print("".join(map(str, perm)), "rejected:", ", ".join(violations(perm)))
+            broken = violations(perm)
+            if broken:
+                print("".join(map(str, perm)), "rejected:", ", ".join(broken))
     return 0
 
 
-def _ratio_list(args) -> list[Ratio]:
-    raw = args.ratio
-    if not raw:
+def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
+    """(ratio, L, t_max, D) of every --ratio, all checked before any run."""
+    if not args.ratio:
         raise ValueError("need at least one --ratio")
-    if isinstance(raw, str):
-        raw = [raw]
-    return [Ratio.parse(r) for r in raw]
+    runs = []
+    for raw in args.ratio:
+        ratio = Ratio.parse(raw)
+        length = total_length(args.n, ratio)
+        t_max = _resolve_tmax(args, length)
+        runs.append((ratio, length, t_max, _resolve_d(args, length, t_max)))
+    return runs
 
 
 def _cmd_sweep(args) -> int:
     _require(args, "n")
+    runs = _ratio_runs(args)
     out = _out_dir(args)
     p = _norm_order(args)
     entries = []
-    for ratio in _ratio_list(args):
-        length = total_length(args.n, ratio)
-        t_max = _resolve_tmax(args, length)
-        d = _resolve_d(args, length, t_max)
+    for ratio, length, t_max, d in runs:
         ens = run_ensemble(args.n, ratio, d, t_max, p=p)
         export_ensemble(ens, out / f"r{ratio.num}_{ratio.den}")
         if ens.fit is not None:
@@ -214,16 +251,15 @@ def _cmd_fit(args) -> int:
 
 def _cmd_collapse(args) -> int:
     _require(args, "n")
-    out = _out_dir(args)
     p = _norm_order(args)
     ensembles = []
-    for ratio in _ratio_list(args):
-        length = total_length(args.n, ratio)
-        t_max = _resolve_tmax(args, length)
-        d = _resolve_d(args, length, t_max)
+    for ratio, length, t_max, d in _ratio_runs(args):
         ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
-    cr = collapse(ensembles, grid_points=args.grid_points, grid_max=args.grid_max)
+    grid_points = args.grid_points if args.grid_points is not None else 200
+    grid_max = args.grid_max if args.grid_max is not None else 5.0
+    cr = collapse(ensembles, grid_points=grid_points, grid_max=grid_max)
+    out = _out_dir(args)
     export_collapse(cr, out / "collapse.csv")
     payload = {
         "tau_universal": cr.fit.tau, "alpha_universal": cr.fit.alpha,
@@ -234,22 +270,23 @@ def _cmd_collapse(args) -> int:
         fh.write("\n")
     print(json.dumps(payload, indent=2))
     _write_config(out, {"verb": "collapse", "n": args.n, "p": p,
-                        "grid_points": args.grid_points, "grid_max": args.grid_max})
+                        "grid_points": grid_points, "grid_max": grid_max})
     return 0
 
 
 def _cmd_stopping_time(args) -> int:
-    _require(args, "n", "ratio")
-    out = _out_dir(args)
+    _require(args, "n", "ratio", "pe")
     ratio = Ratio.parse(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
     pes = sorted(float(v) for v in args.pe)
     p = _norm_order(args)
+    lm_mode = args.lm_mode or "count"
     rows = steepening_report(
         args.n, ratio, t_max, pes, p=p,
-        use_mean_lengths=args.lm_mode == "length", max_slopes=args.steepening,
+        use_mean_lengths=lm_mode == "length", max_slopes=args.steepening,
     )
+    out = _out_dir(args)
     export_steepening(rows, out / "stopping_times.csv")
     for row in rows:
         sol = row.solution
@@ -259,7 +296,7 @@ def _cmd_stopping_time(args) -> int:
         else:
             print(f"pe={row.pe:g}: no crossing within tmax={t_max}")
     _write_config(out, {"verb": "stopping-time", "n": args.n, "ratio": str(ratio),
-                        "tmax": t_max, "pe": pes, "lm_mode": args.lm_mode,
+                        "tmax": t_max, "pe": pes, "lm_mode": lm_mode,
                         "steepening": args.steepening})
     return 0
 
@@ -267,7 +304,8 @@ def _cmd_stopping_time(args) -> int:
 def _cmd_table1(args) -> int:
     ratios = [Ratio.parse(r) for r in (args.ratio or
               ["5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10"])]
-    ref = (Ratio.parse(args.ref_ratio), args.ref_tmax)
+    ref = (Ratio.parse(args.ref_ratio or "5/4"),
+           args.ref_tmax if args.ref_tmax is not None else 50)
     rows = table_one(ratios, n=args.n if args.n is not None else 4, reference=ref)
     print(f"{'r':>7} {'r_n':>4} {'xi':>6} {'L':>8} {'t_max':>8}")
     for row in rows:
@@ -314,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("collapse", help="rescaled decay collapse across ratios")
     _add_protocol_flags(s, ratio_repeats=True)
-    s.add_argument("--grid-points", type=int, default=200)
-    s.add_argument("--grid-max", type=float, default=5.0)
+    s.add_argument("--grid-points", type=int, help="collapse grid size (default 200)")
+    s.add_argument("--grid-max", type=float, help="grid end in T/T_Pe (default 5)")
     _add_common(s)
     s.set_defaults(func=_cmd_collapse)
 
@@ -325,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tmax", type=int)
     s.add_argument("--tmax-from", dest="tmax_from")
     s.add_argument("--p", type=float)
-    s.add_argument("--pe", action="append", required=True, help="repeatable Peclet value")
-    s.add_argument("--lm-mode", choices=["count", "length"], default="count",
-                   help="striation length from averaged counts (count) or averaged lengths")
+    s.add_argument("--pe", action="append", help="repeatable Peclet value")
+    s.add_argument("--lm-mode", choices=["count", "length"],
+                   help="striation length from averaged counts (count, the default) "
+                        "or averaged lengths")
     s.add_argument("--steepening", action="store_true",
                    help="also run diffusive ensembles and report max slopes")
     _add_common(s)
@@ -336,18 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("table1", help="lattice sizes and matched iteration budgets")
     s.add_argument("--n", type=int)
     s.add_argument("--ratio", action="append")
-    s.add_argument("--ref-ratio", default="5/4")
-    s.add_argument("--ref-tmax", type=int, default=50)
+    s.add_argument("--ref-ratio", help="reference ratio (default 5/4)")
+    s.add_argument("--ref-tmax", type=int, help="reference budget (default 50)")
     _add_common(s)
     s.set_defaults(func=_cmd_table1)
 
+    for verb_parser in sub.choices.values():
+        # Config keys are checked against the flags of the chosen verb.
+        verb_parser.set_defaults(
+            flags={a.dest: a for a in verb_parser._actions if a.dest != "help"}
+        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _merge_config(args)
     try:
+        _merge_config(args)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

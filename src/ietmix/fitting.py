@@ -11,13 +11,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 #: Admissible stretching-exponent window (open below, closed above).
 ALPHA_MIN = 0.1
 ALPHA_MAX = 2.0
 
 _TAU_FLOOR = 1e-8
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, with SciPy imported on the first call.
+
+    Importing SciPy takes most of the package's start-up time, so the
+    verbs that never fit do not pay for it.
+    """
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)

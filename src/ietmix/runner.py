@@ -155,7 +155,8 @@ def steepening_report(
     stopping time of every Pe. Each Pe's diffusivity is derived, and its
     stability checked, by diffusivity_from_peclet. With max_slopes the
     diffusive ensemble of each Pe whose crossing happens is run too, and
-    the steepest descent of norm/M against T / stopping time reported;
+    the steepest descent of norm/M against T / stopping time reported
+    (only their averaged norm is needed, so they are not fitted);
     otherwise max_slope stays None. A Pe whose crossing never happens
     yields a flagged row rather than failing the sweep.
     """
@@ -173,8 +174,9 @@ def steepening_report(
         sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
         max_slope = None
         if max_slopes and sol.found:
-            ens = run_ensemble(n, ratio, d, t_max, p=p)
-            drop = np.abs(np.diff(ens.avg_norm / ens.m))
+            series = evolve(n, ratio, d, t_max, base.permutations, p=p)
+            avg_norm = np.mean([s.mixing_norm for s in series], axis=0)
+            drop = np.abs(np.diff(avg_norm / float(avg_norm[0])))
             max_slope = float(drop.max()) * sol.interpolated
         rows.append(SteepeningRow(pe=pe, d=d, solution=sol, max_slope=max_slope))
     return rows

@@ -1,12 +1,16 @@
 """Command-line interface: verbs, flag resolution, config files, outputs."""
 
 import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ietmix
 from ietmix.cli import main
 
 
@@ -218,3 +222,109 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "321"
+
+
+def test_config_values_are_converted_like_flag_text(tmp_path):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"n": "4", "ratio": "3/2", "perm": "3,1,4,2",
+                                    "tmax": "2", "d": 0, "metrics_only": True}))
+    code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path))
+    assert code == 0
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["n"] == 4 and meta["tmax"] == 2 and meta["d"] == 0.0
+    assert not (tmp_path / "spacetime.pgm").exists()
+
+
+def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"n": 4.5, "ratio": "3/2", "perm": "3,1,4,2",
+                                    "tmax": 2}))
+    code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config key 'n'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_config_key_is_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"n": 4, "ratio": "3/2", "perm": "3,1,4,2",
+                                    "tmax": 2, "bogus": 1}))
+    code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config key 'bogus'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_lattice_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--n", "9", "--ratio", "101/100",
+                   "--perm", "9,8,7,6,5,4,3,2,1", "--tmax", "1", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: out of memory")
+    assert not out.exists()
+
+
+def test_unstable_peclet_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "5/4", "--tmax", "5",
+                   "--pe", "10", "--steepening", "--out", str(out))
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_list_permutations_rejected_output_unchanged(capsys):
+    # Digest of the full n = 5 listing as printed by the all-orders filter
+    # that preceded the pruned generator: 62 allowed, a blank line, 58 rejected.
+    assert run_cli("list-permutations", "--n", "5", "--rejected") == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 121 and lines[62] == "" and lines[0] == "23514"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d55d97826d037db7dd9b089bf349780aead21dae3242265b19bab7657642d97"
+    )
+
+
+_SCIPY_PROBE = """
+import sys
+from ietmix.cli import main
+on_import = "scipy" in sys.modules
+code = main(sys.argv[1:])
+print(on_import, "scipy" in sys.modules, code)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["list-permutations", "--n", "4"], False),
+    (["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "2",
+      "--d", "0.3"], False),
+    (["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+      "--pe", "50", "--pe", "100"], False),
+    (["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+      "--pe", "50", "--pe", "100", "--steepening"], False),
+    (["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4",
+      "--tmax-from", "65,100", "--d", "0.5"], True),
+], ids=["list-permutations", "simulate", "stopping-time", "stopping-time-steepening",
+        "collapse"])
+def test_scipy_is_loaded_only_by_verbs_that_fit(tmp_path, argv, loads_scipy):
+    # Outputs go to the working directory, tmp_path.
+    src = Path(ietmix.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=tmp_path,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"False {loads_scipy} 0"
+
+
+def test_config_sets_defaulted_and_repeatable_flags(tmp_path):
+    base = ["stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "500"]
+    assert run_cli(*base, "--pe", "8000", "--lm-mode", "length",
+                   "--out", str(tmp_path / "flag")) == 0
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"lm_mode": "length", "pe": [8000]}))
+    assert run_cli(*base, "--config", str(cfg_path), "--out", str(tmp_path / "cfg")) == 0
+    assert ((tmp_path / "cfg" / "stopping_times.csv").read_bytes()
+            == (tmp_path / "flag" / "stopping_times.csv").read_bytes())
+    assert json.loads((tmp_path / "cfg" / "config.json").read_text())["lm_mode"] == "length"

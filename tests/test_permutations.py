@@ -1,5 +1,6 @@
 """Shuffle-order design rules: screening, naming, enumeration."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -125,8 +126,25 @@ def test_allowed_sets_grow_with_piece_count():
 
 
 def test_enumeration_agrees_with_filter():
-    for n in (3, 4, 5):
-        brute = [
-            p for p in itertools.permutations(range(1, n + 1)) if not violations(p)
-        ]
+    # The pruned generator against the plain filter over all n! orders.
+    for n in range(2, 9):
+        brute = [p for p in itertools.permutations(range(1, n + 1)) if is_allowed(p)]
         assert enumerate_allowed(n) == brute
+
+
+def test_enumerate_allowed_nine_pieces():
+    allowed = enumerate_allowed(9)
+    assert len(allowed) == 255_276
+    assert allowed[0] == (2, 3, 4, 5, 6, 7, 9, 1, 8)
+    assert allowed[-1] == (9, 8, 7, 6, 5, 4, 3, 2, 1)
+    # Digest of the list the plain filter over all 9! orders returns (8 s).
+    assert hashlib.sha256(repr(allowed).encode()).hexdigest() == (
+        "d94e8f7b7e02dec12ef2b0cad4ecfcdac6f56ec76f5e248f19d612e79a6f456e"
+    )
+
+
+def test_violations_validates_its_input():
+    with pytest.raises(ValueError):
+        violations((1, 1, 2))
+    with pytest.raises(ValueError):
+        is_rotation((0, 1))
