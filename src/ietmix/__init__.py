@@ -7,111 +7,46 @@ across Peclet numbers. Everything is deterministic: there is no random
 number generator anywhere in the pipeline.
 """
 
-from .diffusion import (
-    StabilityError,
-    diffusion_step,
-    diffusivity_from_peclet,
-    match_iterations,
-    peclet_number,
-)
-from .fitting import (
-    ALPHA_MAX,
-    ALPHA_MIN,
-    FitResult,
-    efolding_time,
-    fit_stretched_exponential,
-    gamma,
-    stretched_exponential,
-)
+from .diffusion import StabilityError, diffusion_step, match_iterations
+from .fitting import fit_stretched_exponential, stretched_exponential
 from .lattice import (
     CapacityError,
     Protocol,
     Ratio,
-    SpaceTimeRecord,
     cut_positions,
     initial_field,
     iterate,
     shuffle_step,
-    subsegment_lengths,
     total_length,
 )
-from .metrics import (
-    MetricSeries,
-    average_color,
-    compute_series,
-    cut_count,
-    mean_subsegment_length,
-    mixing_norm,
-    percent_unmixed,
-)
-from .permutations import (
-    enumerate_allowed,
-    has_fixed_consecutive_block,
-    has_fixed_endpoint,
-    is_allowed,
-    is_irreducible,
-    is_rotation,
-    violations,
-)
-from .runner import (
-    CollapseResult,
-    EnsembleResult,
-    SteepeningRow,
-    TableRow,
-    collapse,
-    run_ensemble,
-    steepening_report,
-    table_one,
-)
-from .stopping import StoppingTimeSolution, batchelor_length, solve_stopping_time
+from .metrics import average_color, compute_series, mixing_norm
+from .permutations import enumerate_allowed, violations
+from .runner import collapse, run_ensemble, steepening_report, table_one
+from .stopping import solve_stopping_time
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_MAX",
-    "ALPHA_MIN",
     "CapacityError",
-    "CollapseResult",
-    "EnsembleResult",
-    "FitResult",
-    "MetricSeries",
     "Protocol",
     "Ratio",
-    "SpaceTimeRecord",
     "StabilityError",
-    "SteepeningRow",
-    "StoppingTimeSolution",
-    "TableRow",
     "average_color",
-    "batchelor_length",
     "collapse",
     "compute_series",
-    "cut_count",
     "cut_positions",
     "diffusion_step",
-    "diffusivity_from_peclet",
-    "efolding_time",
     "enumerate_allowed",
     "fit_stretched_exponential",
-    "gamma",
-    "has_fixed_consecutive_block",
-    "has_fixed_endpoint",
     "initial_field",
-    "is_allowed",
-    "is_irreducible",
-    "is_rotation",
     "iterate",
     "match_iterations",
-    "mean_subsegment_length",
     "mixing_norm",
-    "peclet_number",
-    "percent_unmixed",
     "run_ensemble",
     "shuffle_step",
     "solve_stopping_time",
     "steepening_report",
     "stretched_exponential",
-    "subsegment_lengths",
     "table_one",
     "total_length",
     "violations",

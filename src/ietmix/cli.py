@@ -32,13 +32,17 @@ from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import fit_stretched_exponential
 from .io import (
     export_collapse,
+    export_ensemble,
     export_fit_scatter,
-    export_metadata,
     export_series,
     export_spacetime,
     export_steepening,
     export_table_one,
-    export_ensemble,
+    fit_payload,
+    json_text,
+    order_label,
+    protocol_metadata,
+    write_json,
 )
 from .lattice import Protocol, Ratio, iterate, total_length
 from .permutations import enumerate_allowed, violations
@@ -122,7 +126,12 @@ def _resolve_tmax(args, length: int) -> int:
     if args.tmax is not None:
         return args.tmax
     if args.tmax_from is not None:
-        l_ref, t_ref = (int(v) for v in str(args.tmax_from).split(","))
+        try:
+            l_ref, t_ref = (int(v) for v in str(args.tmax_from).split(","))
+        except ValueError:
+            raise ValueError(
+                f"--tmax-from takes L_ref,T_ref (two integers), got {args.tmax_from!r}"
+            ) from None
         return match_iterations(l_ref, t_ref, length)
     raise ValueError("need --tmax or --tmax-from")
 
@@ -140,9 +149,7 @@ def _norm_order(args) -> float:
 
 
 def _write_config(out: Path, resolved: dict) -> None:
-    with open(out / "config.json", "w") as fh:
-        json.dump({**resolved, "seed_of_truth": "deterministic"}, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "config.json", {**resolved, "seed_of_truth": "deterministic"})
 
 
 def _require(args, *names) -> None:
@@ -167,7 +174,7 @@ def _cmd_simulate(args) -> int:
     if raster:
         export_spacetime(record, out / f"spacetime.{fmt}", fmt)
     export_series(record.series, out / "series.csv")
-    export_metadata(protocol, out / "metadata.json", p)
+    write_json(out / "metadata.json", protocol_metadata(protocol, p))
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
         f"d={d:g} tmax={t_max} (L={length}) -> {out}"
@@ -176,15 +183,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_list_permutations(args) -> int:
-    allowed = enumerate_allowed(args.n)
-    for perm in allowed:
-        print("".join(map(str, perm)))
+    lines = [order_label(perm) for perm in enumerate_allowed(args.n)]
     if args.rejected:
-        print()
+        lines.append("")
         for perm in itertools.permutations(range(1, args.n + 1)):
             broken = violations(perm)
             if broken:
-                print("".join(map(str, perm)), "rejected:", ", ".join(broken))
+                lines.append(f"{order_label(perm)} rejected: {', '.join(broken)}")
+    # One write: a print per order took most of the time at n = 9.
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
 
 
@@ -236,16 +243,10 @@ def _cmd_fit(args) -> int:
     y = [float(row[col]) for row in rows]
     m = args.m if args.m is not None else y[0]
     fit = fit_stretched_exponential(np.array(t), np.array(y), m)
-    payload = {
-        "m": fit.m, "tau": fit.tau, "alpha": fit.alpha,
-        "sse": fit.sse, "converged": fit.converged,
-    }
-    print(json.dumps(payload, indent=2))
+    payload = fit_payload(fit)
+    print(json_text(payload))
     if args.out:
-        out = _out_dir(args)
-        with open(out / "fit.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(_out_dir(args) / "fit.json", payload)
     return 0
 
 
@@ -265,10 +266,8 @@ def _cmd_collapse(args) -> int:
         "tau_universal": cr.fit.tau, "alpha_universal": cr.fit.alpha,
         "sse": cr.fit.sse, "converged": cr.fit.converged,
     }
-    with open(out / "universal_fit.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(json.dumps(payload, indent=2))
+    write_json(out / "universal_fit.json", payload)
+    print(json_text(payload))
     _write_config(out, {"verb": "collapse", "n": args.n, "p": p,
                         "grid_points": grid_points, "grid_max": grid_max})
     return 0

@@ -68,8 +68,8 @@ def diffusivity_from_peclet(length: int, pe: float, t_max: int) -> float:
     """Diffusivity D = L^2 / (Pe * T_max) realizing a target Peclet number."""
     if length <= 0 or t_max <= 0:
         raise ValueError("length and t_max must be positive")
-    if pe <= 0:
-        raise ValueError("Peclet number must be positive")
+    if not 0.0 < pe < math.inf:
+        raise ValueError(f"Peclet number must be finite and positive, got {pe}")
     d = length * length / (pe * t_max)
     if d > 0.5:
         raise StabilityError(

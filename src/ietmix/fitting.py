@@ -47,13 +47,6 @@ def stretched_exponential(t, m: float, tau: float, alpha: float) -> np.ndarray:
     return m * np.exp(-((t / tau) ** alpha))
 
 
-def gamma(x: float) -> float:
-    """Gamma function on the positive reals."""
-    if x <= 0:
-        raise ValueError(f"gamma is defined here for x > 0 only, got {x}")
-    return math.gamma(x)
-
-
 def efolding_time(fit: FitResult) -> float:
     """Characteristic decay scale of a fit: tau * Gamma(1 + 1/alpha).
 
@@ -62,7 +55,7 @@ def efolding_time(fit: FitResult) -> float:
     """
     if not fit.converged:
         raise ValueError("e-folding time needs a converged fit")
-    return fit.tau * gamma(1.0 + 1.0 / fit.alpha)
+    return fit.tau * math.gamma(1.0 + 1.0 / fit.alpha)
 
 
 def _efold_crossing(t, y, m: float) -> float:

@@ -1,4 +1,10 @@
-"""File export: CSV tables, P5 graymaps for space-time fields, JSON metadata."""
+"""File export: every output file is written here, and only here.
+
+CSV tables go through write_csv and JSON documents through write_json;
+space-time fields are P5 graymaps or raw float matrices. Rows are built
+from Python scalars (tolist, int, float), never NumPy scalars, whose
+repr would leak into the text.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import peclet_number
+from .fitting import FitResult
 from .lattice import Protocol, SpaceTimeRecord, total_length
 from .metrics import MetricSeries
 from .runner import CollapseResult, EnsembleResult
@@ -16,23 +23,43 @@ from .runner import CollapseResult, EnsembleResult
 SERIES_HEADER = ["T", "cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len"]
 
 
-def export_series(series: MetricSeries, path) -> Path:
-    """Metric series as CSV with the documented column contract."""
+def write_csv(path, header, rows) -> Path:
+    """A CSV table: the header row, then every row."""
     path = Path(path)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SERIES_HEADER)
-        for i in range(len(series)):
-            w.writerow(
-                [
-                    int(series.t[i]),
-                    int(series.cut_count[i]),
-                    float(series.percent_unmixed[i]),
-                    float(series.mixing_norm[i]),
-                    float(series.mean_subseg_len[i]),
-                ]
-            )
+        w.writerow(header)
+        w.writerows(rows)
     return path
+
+
+def json_text(payload) -> str:
+    """The JSON layout of every document, on disk and on stdout."""
+    return json.dumps(payload, indent=2)
+
+
+def write_json(path, payload) -> Path:
+    path = Path(path)
+    path.write_text(json_text(payload) + "\n")
+    return path
+
+
+def order_label(perm) -> str:
+    """A shuffle order as its digits: (2, 4, 1, 3) -> "2413"."""
+    return "".join(map(str, perm))
+
+
+def fit_payload(fit: FitResult) -> dict:
+    return {"m": fit.m, "tau": fit.tau, "alpha": fit.alpha,
+            "sse": fit.sse, "converged": fit.converged}
+
+
+def export_series(series: MetricSeries, path) -> Path:
+    """Metric series as CSV with the documented column contract."""
+    return write_csv(path, SERIES_HEADER, zip(
+        series.t.tolist(), series.cut_count.tolist(), series.percent_unmixed.tolist(),
+        series.mixing_norm.tolist(), series.mean_subseg_len.tolist(),
+    ))
 
 
 def export_spacetime(record: SpaceTimeRecord, path, format: str = "pgm") -> Path:
@@ -72,139 +99,70 @@ def protocol_metadata(protocol: Protocol, p: float = 2.0) -> dict:
     }
 
 
-def export_metadata(protocol: Protocol, path, p: float = 2.0) -> Path:
-    path = Path(path)
-    with open(path, "w") as fh:
-        json.dump(protocol_metadata(protocol, p), fh, indent=2)
-        fh.write("\n")
-    return path
-
-
-def _perm_label(perm) -> str:
-    return "".join(str(v) for v in perm)
-
-
 def export_ensemble(ens: EnsembleResult, out_dir) -> Path:
     """Averaged curves, per-order norm curves, and the fit, as a directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "average_curves.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"])
-        for i in range(ens.t_max + 1):
-            w.writerow(
-                [i, float(ens.avg_norm[i]), float(ens.avg_cut[i]), float(ens.avg_subseg[i])]
-            )
-    with open(out / "permutation_norms.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["T"] + [_perm_label(q) for q in ens.permutations])
-        for i in range(ens.t_max + 1):
-            w.writerow([i] + [float(s.mixing_norm[i]) for s in ens.series])
-    payload = {
+    labels = [order_label(q) for q in ens.permutations]
+    write_csv(out / "average_curves.csv",
+              ["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"],
+              zip(range(ens.t_max + 1), ens.avg_norm.tolist(), ens.avg_cut.tolist(),
+                  ens.avg_subseg.tolist()))
+    norms = np.array([s.mixing_norm for s in ens.series]).T
+    write_csv(out / "permutation_norms.csv", ["T"] + labels,
+              ([i] + row.tolist() for i, row in enumerate(norms)))
+    write_json(out / "ensemble.json", {
         "n": ens.n,
         "ratio": {"num": ens.ratio.num, "den": ens.ratio.den},
         "d": ens.d,
         "tmax": ens.t_max,
         "p": ens.p,
         "m": ens.m,
-        "permutations": [_perm_label(q) for q in ens.permutations],
-        "fit": None
-        if ens.fit is None
-        else {
-            "m": ens.fit.m,
-            "tau": ens.fit.tau,
-            "alpha": ens.fit.alpha,
-            "sse": ens.fit.sse,
-            "converged": ens.fit.converged,
-        },
+        "permutations": labels,
+        "fit": None if ens.fit is None else fit_payload(ens.fit),
         "t_pe": ens.t_pe,
         "seed_of_truth": "deterministic",
-    }
-    with open(out / "ensemble.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
     return out
 
 
 def export_collapse(cr: CollapseResult, path) -> Path:
     """Rescaled-collapse table: grid, mean, spread band, then each curve."""
-    path = Path(path)
     lo = np.maximum(cr.mean_curve - cr.std_curve, 0.0)
     hi = cr.mean_curve + cr.std_curve
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
-            + [f"curve_{k}" for k in range(cr.curves.shape[0])]
-        )
-        for i in range(cr.grid.size):
-            w.writerow(
-                [
-                    float(cr.grid[i]),
-                    float(cr.mean_curve[i]),
-                    float(cr.std_curve[i]),
-                    float(lo[i]),
-                    float(hi[i]),
-                ]
-                + [float(v) for v in cr.curves[:, i]]
-            )
-    return path
+    columns = np.vstack([cr.grid, cr.mean_curve, cr.std_curve, lo, hi, cr.curves])
+    return write_csv(
+        path,
+        ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
+        + [f"curve_{k}" for k in range(cr.curves.shape[0])],
+        (row.tolist() for row in columns.T),
+    )
 
 
 def export_steepening(rows, path) -> Path:
-    """Stopping-time / steepening sweep as CSV, one row per Peclet value."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["pe", "d", "found", "t_stop", "t_stop_interp", "t_stop_normalized", "max_slope"]
-        )
-        for row in rows:
-            sol = row.solution
-            w.writerow(
-                [
-                    row.pe,
-                    row.d,
-                    sol.found,
-                    "" if sol.iteration is None else sol.iteration,
-                    "" if sol.interpolated is None else sol.interpolated,
-                    "" if sol.normalized_time is None else sol.normalized_time,
-                    "" if row.max_slope is None else row.max_slope,
-                ]
-            )
-    return path
+    """Stopping-time / steepening sweep as CSV, one row per Peclet value.
+
+    Values that do not exist, such as the time of a crossing never
+    reached, are left blank.
+    """
+    return write_csv(
+        path,
+        ["pe", "d", "found", "t_stop", "t_stop_interp", "t_stop_normalized", "max_slope"],
+        ([row.pe, row.d, row.solution.found]
+         + ["" if v is None else v for v in (row.solution.iteration, row.solution.interpolated,
+                                             row.solution.normalized_time, row.max_slope)]
+         for row in rows),
+    )
 
 
 def export_table_one(rows, path) -> Path:
     """Lattice-size table as CSV."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "r_n", "xi", "L", "t_max"])
-        for row in rows:
-            w.writerow([str(row.ratio), row.r_n, row.xi, row.length, row.t_max])
-    return path
+    return write_csv(path, ["r", "r_n", "xi", "L", "t_max"],
+                     ([str(row.ratio), row.r_n, row.xi, row.length, row.t_max]
+                      for row in rows))
 
 
 def export_fit_scatter(entries, path) -> Path:
     """Fit-parameter scatter, one (ratio, d, fit) row per ensemble."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "D", "tau", "alpha"])
-        for ratio, d, fit in entries:
-            w.writerow([str(ratio), d, fit.tau, fit.alpha])
-    return path
-
-
-def export(obj, path, format: str | None = None) -> Path:
-    """Type-dispatched export used by the command line."""
-    if isinstance(obj, MetricSeries):
-        return export_series(obj, path)
-    if isinstance(obj, SpaceTimeRecord):
-        return export_spacetime(obj, path, format or "pgm")
-    if isinstance(obj, EnsembleResult):
-        return export_ensemble(obj, path)
-    if isinstance(obj, CollapseResult):
-        return export_collapse(obj, path)
-    raise TypeError(f"no exporter for {type(obj).__name__}")
+    return write_csv(path, ["r", "D", "tau", "alpha"],
+                     ([str(ratio), d, fit.tau, fit.alpha] for ratio, d, fit in entries))

@@ -169,7 +169,7 @@ class SpaceTimeRecord:
 
     protocol: Protocol
     fields: np.ndarray | None
-    series: MetricSeries | None = None
+    series: MetricSeries
 
     def __len__(self) -> int:
         return self.protocol.t_max + 1
@@ -250,8 +250,8 @@ def evolve(
                  for q in permutations]
     if not protocols:
         raise ValueError("ensemble needs at least one permutation")
-    if p < 1:
-        raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm order must be a finite p >= 1, got {p}")
     d, t_max, p = protocols[0].d, protocols[0].t_max, float(p)
     field = initial_field(n, ratio)
     rows, length = len(protocols), field.size

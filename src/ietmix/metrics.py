@@ -9,6 +9,7 @@ with counting true piece boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -59,21 +60,14 @@ def mixing_norm(field, cbar: float | None = None, p: float = 2.0) -> float:
     under any permutation of the field.
     """
     c = _as_field(field)
-    if p < 1:
-        raise ValueError(f"norm order must satisfy p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm order must be a finite p >= 1, got {p}")
     if cbar is None:
         cbar = average_color(c)
     dev = np.abs(c - cbar)
     powed = dev * dev if p == 2 else dev**p
     powed.sort()
     return float((powed.sum() / c.size) ** (1.0 / p))
-
-
-def mean_subsegment_length(n_cuts: int) -> float:
-    """Average run length on the unit-normalized segment: 1/(C+1)."""
-    if n_cuts < 0:
-        raise ValueError("cut count cannot be negative")
-    return 1.0 / (n_cuts + 1.0)
 
 
 @dataclass(frozen=True)
@@ -122,20 +116,11 @@ def compute_series(record: "SpaceTimeRecord", p: float = 2.0) -> MetricSeries:
     The norm reference is frozen from the T = 0 field. Fields are scored
     one at a time by the single-field metrics above; this is the
     reference the batched kernel (lattice.evolve) is checked against.
-    Metrics-only records already carry their series; asking for a
-    different p than they were collected with is an error rather than a
-    silent recompute.
+    A metrics-only record has no fields to score: use its series.
     """
-    if record.fields is None:
-        series = record.series
-        if series is None:
-            raise ValueError("record holds neither fields nor a metric series")
-        if series.p != p:
-            raise ValueError(
-                f"record was collected at p={series.p}; cannot re-evaluate at p={p}"
-            )
-        return series
     fields = record.fields
+    if fields is None:
+        raise ValueError("record holds no fields (metrics-only run); use record.series")
     cbar = average_color(fields[0])
     return _make_series(
         np.array([cut_count(f) for f in fields], dtype=np.int64),

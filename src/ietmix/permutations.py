@@ -31,6 +31,8 @@ def as_permutation(perm) -> Perm:
 
 
 def _reducible(p: Perm) -> bool:
+    """True when {pi(1..k)} = {1..k} for some k < N: the order splits into
+    sub-shuffles that never exchange material across the split."""
     top = 0
     for k, v in enumerate(p[:-1], start=1):
         top = max(top, v)
@@ -50,6 +52,8 @@ def _fixed_endpoint(p: Perm) -> bool:
 
 
 def _fixed_block(p: Perm) -> bool:
+    """A fixed block of 2..N-2 pieces always holds an adjacent fixed pair,
+    and for N > 3 a pair already fits that window."""
     n = len(p)
     if n <= 3:
         return False
@@ -65,44 +69,10 @@ _RULES = (
 )
 
 
-def is_irreducible(perm) -> bool:
-    """False when some proper prefix maps onto itself.
-
-    If {pi(1..k)} = {1..k} for k < N the order splits into independent
-    sub-shuffles that never exchange material across the split.
-    """
-    return not _reducible(as_permutation(perm))
-
-
-def is_rotation(perm) -> bool:
-    """True for cyclic shifts pi(k) = ((k-1+s) mod N) + 1; identity is s=0."""
-    return _rotation(as_permutation(perm))
-
-
-def has_fixed_endpoint(perm) -> bool:
-    """True when the first or the last piece stays in place."""
-    return _fixed_endpoint(as_permutation(perm))
-
-
-def has_fixed_consecutive_block(perm) -> bool:
-    """True when a block of 2..N-2 consecutive pieces stays in place (N > 3).
-
-    A fixed block of length >= 2 always contains an adjacent fixed pair,
-    and for N > 3 a pair already fits the 2..N-2 window, so the check
-    reduces to scanning for two neighboring fixed points.
-    """
-    return _fixed_block(as_permutation(perm))
-
-
 def violations(perm) -> tuple[str, ...]:
     """Names of every rule the order breaks; empty tuple when allowed."""
     p = as_permutation(perm)
     return tuple(name for name, broken in _RULES if broken(p))
-
-
-def is_allowed(perm) -> bool:
-    """True when the order passes all four design rules."""
-    return not violations(perm)
 
 
 def enumerate_allowed(n: int) -> list[Perm]:
@@ -115,7 +85,7 @@ def enumerate_allowed(n: int) -> list[Perm]:
     in an adjacent fixed pair. A fixed first or last piece always makes
     a reducible prefix, so only rotations are left to reject among the
     complete orders. The result equals filtering all n! orders with
-    is_allowed, in the same order.
+    violations, in the same order.
     """
     if not 2 <= n <= 9:
         raise ValueError(f"piece count must be in 2..9, got {n}")

@@ -274,6 +274,33 @@ def test_unstable_peclet_leaves_no_output_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_simulate_rejects_non_finite_norm_order(tmp_path, capsys, p):
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2",
+                   "--d", "0.5", "--tmax", "5", "--p", p, "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: norm order")
+    assert not out.exists()
+
+
+def test_stopping_time_rejects_non_finite_peclet(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "50",
+                   "--pe", "nan", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: Peclet number")
+    assert not out.exists()
+
+
+def test_malformed_tmax_from_names_the_flag(capsys):
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2",
+                   "--tmax-from", "369")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tmax-from") and "L_ref,T_ref" in err
+
+
 def test_list_permutations_rejected_output_unchanged(capsys):
     # Digest of the full n = 5 listing as printed by the all-orders filter
     # that preceded the pruned generator: 62 allowed, a blank line, 58 rejected.

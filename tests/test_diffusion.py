@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ietmix import (
+from ietmix.diffusion import (
     StabilityError,
     diffusion_step,
     diffusivity_from_peclet,
@@ -129,5 +129,6 @@ def test_diffusivity_stability_refusal():
     # Pe small enough to demand D > 1/2 must fail loudly.
     with pytest.raises(StabilityError):
         diffusivity_from_peclet(671, 100, 500)
-    with pytest.raises(ValueError):
-        diffusivity_from_peclet(671, -5, 500)
+    for bad in (-5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            diffusivity_from_peclet(671, bad, 500)

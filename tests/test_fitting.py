@@ -1,4 +1,4 @@
-"""Stretched-exponential fitting, gamma, and the e-folding scale."""
+"""Stretched-exponential fitting and the e-folding scale."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from ietmix import (
+from ietmix.fitting import (
     FitResult,
     efolding_time,
     fit_stretched_exponential,
-    gamma,
     stretched_exponential,
 )
 
@@ -27,25 +26,6 @@ def test_model_evaluation():
     assert stretched_exponential(10.0, 0.5, 10.0, 0.8) == pytest.approx(0.5 / math.e)
     y = stretched_exponential([0.0, 10.0, 40.0], 1.0, 10.0, 1.0)
     assert y == pytest.approx([1.0, math.exp(-1), math.exp(-4)])
-
-
-def test_gamma_matches_the_defining_integral():
-    for x in (0.5, 1.0, 1.5, 2.0, 2.2712941774567943, 3.7):
-        assert gamma(x) == pytest.approx(gamma_by_quadrature(x), rel=1e-8)
-    assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma(1.0) == 1.0
-    assert gamma(5.0) == 24.0
-
-
-def test_gamma_domain():
-    for x in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            gamma(x)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0))
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-12)
 
 
 def test_efolding_time_frozen():

@@ -6,22 +6,23 @@ diffusion_step, scored field by field with compute_series, and the two
 must agree bit for bit, averages included.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ietmix import (
+from ietmix.diffusion import diffusion_step
+from ietmix.lattice import (
     Protocol,
     Ratio,
-    SpaceTimeRecord,
-    compute_series,
     cut_positions,
-    diffusion_step,
+    evolve,
     initial_field,
     iterate,
-    run_ensemble,
     shuffle_step,
 )
-from ietmix.lattice import evolve
+from ietmix.metrics import compute_series
+from ietmix.runner import run_ensemble
 
 SERIES_FIELDS = ("t", "cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len",
                  "mean_color")
@@ -40,7 +41,9 @@ def reference_fields(protocol):
 
 
 def reference_series(protocol, p):
-    return compute_series(SpaceTimeRecord(protocol, reference_fields(protocol)), p)
+    # compute_series reads only a record's protocol and fields.
+    record = SimpleNamespace(protocol=protocol, fields=reference_fields(protocol))
+    return compute_series(record, p)
 
 
 def assert_same_series(got, want):
@@ -89,8 +92,9 @@ def test_iterate_fields_and_series_match_the_reference_path(d):
 def test_evolve_validates_its_inputs():
     with pytest.raises(ValueError):
         evolve(4, Ratio(3, 2), 0.0, 5, [])
-    with pytest.raises(ValueError):
-        evolve(4, Ratio(3, 2), 0.0, 5, [(3, 1, 4, 2)], p=0.5)
+    for bad_p in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            evolve(4, Ratio(3, 2), 0.0, 5, [(3, 1, 4, 2)], p=bad_p)
     with pytest.raises(ValueError):
         evolve(4, Ratio(3, 2), 0.0, 5, [(2, 1, 3)])
     with pytest.raises(ValueError):

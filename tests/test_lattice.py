@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ietmix import (
+from ietmix.diffusion import StabilityError
+from ietmix.lattice import (
     CapacityError,
     Protocol,
     Ratio,
-    StabilityError,
-    compute_series,
     cut_positions,
     initial_field,
     iterate,
@@ -17,6 +16,7 @@ from ietmix import (
     subsegment_lengths,
     total_length,
 )
+from ietmix.metrics import compute_series
 
 
 def test_ratio_is_stored_reduced():

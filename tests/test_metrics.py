@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ietmix import (
-    Protocol,
-    Ratio,
+from ietmix.lattice import Protocol, Ratio, initial_field, iterate
+from ietmix.metrics import (
     average_color,
     compute_series,
     cut_count,
-    initial_field,
-    iterate,
-    mean_subsegment_length,
     mixing_norm,
     percent_unmixed,
 )
@@ -57,8 +53,9 @@ def test_mixing_norm_orders():
     c = [0.0, 0.0, 1.0]
     assert mixing_norm(c, cbar=0.0, p=1.0) == pytest.approx(1 / 3)
     assert mixing_norm(c, cbar=0.0, p=4.0) == pytest.approx((1 / 3) ** 0.25)
-    with pytest.raises(ValueError):
-        mixing_norm(c, p=0.5)
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mixing_norm(c, p=bad)
 
 
 def test_initial_norm_frozen():
@@ -97,13 +94,6 @@ def test_diagnostic_ranges(values):
     assert mixing_norm(c) >= 0.0
 
 
-def test_mean_subsegment_length():
-    assert mean_subsegment_length(0) == 1.0
-    assert mean_subsegment_length(3) == 0.25
-    with pytest.raises(ValueError):
-        mean_subsegment_length(-1)
-
-
 def test_empty_and_multidim_fields_rejected():
     with pytest.raises(ValueError):
         cut_count([])
@@ -132,9 +122,9 @@ def test_series_norm_reference_frozen_at_start():
     assert series.mean_color == pytest.approx([series.cbar] * 9, abs=1e-12)
 
 
-def test_compute_series_p_mismatch_guard():
+def test_compute_series_needs_fields():
+    # A metrics-only record carries its series and no fields to re-score.
     proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=2)
     rec = iterate(proto, record_metrics_only=True, p=2.0)
-    assert compute_series(rec, p=2.0) is rec.series
     with pytest.raises(ValueError):
-        compute_series(rec, p=1.0)
+        compute_series(rec, p=2.0)

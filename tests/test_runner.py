@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from ietmix import (
+from ietmix.fitting import efolding_time
+from ietmix.lattice import Ratio
+from ietmix.permutations import enumerate_allowed
+from ietmix.runner import (
     EnsembleResult,
-    Ratio,
     collapse,
-    efolding_time,
-    enumerate_allowed,
     run_ensemble,
     steepening_report,
     table_one,

@@ -5,12 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ietmix import (
-    Ratio,
-    batchelor_length,
-    run_ensemble,
-    solve_stopping_time,
-)
+from ietmix.lattice import Ratio
+from ietmix.runner import run_ensemble
+from ietmix.stopping import batchelor_length, solve_stopping_time
 
 
 def test_batchelor_length_values():
