@@ -20,22 +20,24 @@ data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .diffusion import diffusivity_from_peclet, match_iterations
-from .fitting import fit_stretched_exponential
+from .fitting import MIN_FIT_SAMPLES, fit_stretched_exponential
 from .io import (
+    SpaceTimeWriter,
     export_collapse,
     export_ensemble,
     export_fit_scatter,
     export_series,
-    export_spacetime,
     export_steepening,
     export_table_one,
     fit_payload,
@@ -44,7 +46,7 @@ from .io import (
     protocol_metadata,
     write_json,
 )
-from .lattice import Protocol, Ratio, iterate, total_length
+from .lattice import Protocol, Ratio, evolve, total_length
 from .permutations import enumerate_allowed, violations
 from .runner import collapse, run_ensemble, steepening_report, table_one
 
@@ -168,12 +170,16 @@ def _cmd_simulate(args) -> int:
     p = _norm_order(args)
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
-    raster = not (args.metrics_only or fmt == "json")
-    record = iterate(protocol, record_metrics_only=not raster, p=p)
+    raster = None
+    if not (args.metrics_only or fmt == "json"):
+        # Each state goes to disk as the kernel makes it; the writer
+        # creates the output directory with its first chunk.
+        raster = SpaceTimeWriter(Path(args.out or ".") / f"spacetime.{fmt}",
+                                 (t_max + 1, length), fmt)
+    with raster or contextlib.nullcontext():
+        (series,) = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
     out = _out_dir(args)
-    if raster:
-        export_spacetime(record, out / f"spacetime.{fmt}", fmt)
-    export_series(record.series, out / "series.csv")
+    export_series(series, out / "series.csv")
     write_json(out / "metadata.json", protocol_metadata(protocol, p))
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
@@ -241,6 +247,8 @@ def _cmd_fit(args) -> int:
         raise ValueError(f"{args.series}: no data rows")
     t = [float(row["T"]) for row in rows]
     y = [float(row[col]) for row in rows]
+    if args.m is not None and not 0.0 < args.m < math.inf:
+        raise ValueError(f"--m must be finite and positive, got {args.m}")
     m = args.m if args.m is not None else y[0]
     fit = fit_stretched_exponential(np.array(t), np.array(y), m)
     payload = fit_payload(fit)
@@ -253,12 +261,17 @@ def _cmd_fit(args) -> int:
 def _cmd_collapse(args) -> int:
     _require(args, "n")
     p = _norm_order(args)
+    grid_points = args.grid_points if args.grid_points is not None else 200
+    grid_max = args.grid_max if args.grid_max is not None else 5.0
+    if grid_points < MIN_FIT_SAMPLES:
+        raise ValueError(f"--grid-points must be at least {MIN_FIT_SAMPLES}, the samples "
+                         f"a fit needs, got {grid_points}")
+    if not 0.0 < grid_max < math.inf:
+        raise ValueError(f"--grid-max must be finite and positive, got {grid_max}")
     ensembles = []
     for ratio, length, t_max, d in _ratio_runs(args):
         ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
-    grid_points = args.grid_points if args.grid_points is not None else 200
-    grid_max = args.grid_max if args.grid_max is not None else 5.0
     cr = collapse(ensembles, grid_points=grid_points, grid_max=grid_max)
     out = _out_dir(args)
     export_collapse(cr, out / "collapse.csv")
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--format", choices=["pgm", "csv", "json"],
                    help="space-time output format (json skips the raster)")
     s.add_argument("--metrics-only", action="store_true",
-                   help="do not keep fields in memory (no raster output)")
+                   help="skip the space-time raster (metric series only)")
     _add_common(s)
     s.set_defaults(func=_cmd_simulate)
 

@@ -18,6 +18,9 @@ ALPHA_MAX = 2.0
 
 _TAU_FLOOR = 1e-8
 
+#: Fewest samples a fit accepts.
+MIN_FIT_SAMPLES = 5
+
 
 def least_squares(*args, **kwargs):
     """scipy.optimize.least_squares, with SciPy imported on the first call.
@@ -83,19 +86,19 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
     function evaluations. A fit that exhausts the cap is returned with
     converged=False rather than raised.
 
-    Raises ValueError for fewer than 5 samples, negative values, or a
-    flat curve (no decay to fit).
+    Raises ValueError for fewer than 5 samples, an m or values that are
+    negative or not finite, or a flat curve (no decay to fit).
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("t and values must be matching one-dimensional arrays")
-    if t.size < 5:
-        raise ValueError(f"need at least 5 samples to fit, got {t.size}")
-    if m <= 0:
-        raise ValueError(f"initial norm m must be positive, got {m}")
-    if np.any(y < 0):
-        raise ValueError("values must be nonnegative")
+    if t.size < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit, got {t.size}")
+    if not 0.0 < m < math.inf:
+        raise ValueError(f"initial norm m must be finite and positive, got {m}")
+    if not np.all((y >= 0) & (y < np.inf)):
+        raise ValueError("values must be finite and nonnegative")
     if float(y.max() - y.min()) == 0.0:
         raise ValueError("no decay to fit: series is constant")
 

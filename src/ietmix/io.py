@@ -62,24 +62,83 @@ def export_series(series: MetricSeries, path) -> Path:
     ))
 
 
-def export_spacetime(record: SpaceTimeRecord, path, format: str = "pgm") -> Path:
-    """Space-time raster, one row per iteration with T = 0 first.
+#: Rows of a space-time raster are written in chunks of about this size.
+_CHUNK_BYTES = 1 << 20
 
-    pgm writes binary P5 with colors mapped [0, 1] -> 0..255; csv writes
-    the raw float matrix.
+
+class SpaceTimeWriter:
+    """A space-time raster streamed to disk, one row per iteration, T = 0 first.
+
+    Called with a 2-D block of rows, as lattice.evolve calls its
+    observer, it copies them into a buffer of about 1 MB and writes each
+    full buffer as one chunk, so memory stays O(L) however long the run.
+    pgm is binary P5 with colors mapped [0, 1] -> 0..255, its header
+    written from the declared (rows, width) shape; csv is the raw float
+    matrix. The file, and its directory, are created with the first
+    chunk, so a run that fails before its first state writes nothing.
+    Use as a context manager: leaving the block without an error writes
+    the last rows and checks that exactly the declared rows arrived.
     """
+
+    def __init__(self, path, shape: tuple[int, int], format: str = "pgm"):
+        if format not in ("pgm", "csv"):
+            raise ValueError(f"unknown space-time format {format!r}; use pgm or csv")
+        self.path, self.format = Path(path), format
+        self.rows, width = shape
+        self._chunk = np.empty((max(1, _CHUNK_BYTES // (8 * width)), width))
+        self._filled = self._written = 0
+        self._fh = None
+
+    def __call__(self, block) -> None:
+        block = np.asarray(block)
+        while block.shape[0]:
+            k = min(block.shape[0], self._chunk.shape[0] - self._filled)
+            self._chunk[self._filled:self._filled + k] = block[:k]
+            self._filled += k
+            block = block[k:]
+            if self._filled == self._chunk.shape[0]:
+                self._flush()
+
+    def _flush(self) -> None:
+        chunk = self._chunk[:self._filled]
+        self._written += self._filled
+        self._filled = 0
+        if self._written > self.rows:
+            raise ValueError(f"space-time raster declared {self.rows} rows, got more")
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = open(self.path, "wb")
+            if self.format == "pgm":
+                width = self._chunk.shape[1]
+                self._fh.write(f"P5\n{width} {self.rows}\n255\n".encode("ascii"))
+        if self.format == "pgm":
+            self._fh.write(np.clip(np.rint(chunk * 255.0), 0, 255).astype(np.uint8).tobytes())
+        else:
+            np.savetxt(self._fh, chunk, delimiter=",", fmt="%.17g")
+
+    def __enter__(self) -> "SpaceTimeWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                self._flush()
+                if self._written != self.rows:
+                    raise ValueError(
+                        f"space-time raster declared {self.rows} rows, got {self._written}"
+                    )
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+
+
+def export_spacetime(record: SpaceTimeRecord, path, format: str = "pgm") -> Path:
+    """A recorded run's fields as a space-time raster (see SpaceTimeWriter)."""
     if record.fields is None:
         raise ValueError("record holds no fields (metrics-only run)")
-    path = Path(path)
-    if format == "pgm":
-        gray = np.clip(np.rint(record.fields * 255.0), 0, 255).astype(np.uint8)
-        header = f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode("ascii")
-        path.write_bytes(header + gray.tobytes())
-    elif format == "csv":
-        np.savetxt(path, record.fields, delimiter=",", fmt="%.17g")
-    else:
-        raise ValueError(f"unknown space-time format {format!r}; use pgm or csv")
-    return path
+    with SpaceTimeWriter(path, record.fields.shape, format) as write:
+        write(record.fields)
+    return Path(path)
 
 
 def protocol_metadata(protocol: Protocol, p: float = 2.0) -> dict:

@@ -225,7 +225,7 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
 
 def evolve(
     n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
-    fields: np.ndarray | None = None,
+    observe=None,
 ) -> tuple[MetricSeries, ...]:
     """Run every shuffle order of one (N, r, D, T_max) family at once.
 
@@ -242,9 +242,11 @@ def evolve(
     initial field, and the norm sums sorted deviations, so the norm is
     evaluated once at T = 0.
 
-    fields, a (T_max+1, L) float64 array and only for P = 1, also
-    receives every state. Returns one MetricSeries (at norm order p) per
-    order, in the given order.
+    observe, when given, is called with the (P, L) block after every
+    iteration, T = 0 first, once all buffers are allocated. The block is
+    a buffer the kernel reuses, so an observer copies whatever it keeps.
+    Returns one MetricSeries (at norm order p) per order, in the given
+    order.
     """
     protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
                  for q in permutations]
@@ -255,8 +257,6 @@ def evolve(
     d, t_max, p = protocols[0].d, protocols[0].t_max, float(p)
     field = initial_field(n, ratio)
     rows, length = len(protocols), field.size
-    if fields is not None and (rows != 1 or fields.shape != (t_max + 1, length)):
-        raise ValueError(f"fields must be ({t_max + 1}, {length}) for a single order")
 
     bounds = np.arange(rows + 1, dtype=np.intp) * length
     sigma = np.stack([_shuffle_indices(q) for q in protocols]) + bounds[:-1, None]
@@ -296,8 +296,8 @@ def evolve(
                 np.add(right, left, out=right)
                 np.add(own, np.multiply(right, d, out=right), out=new)
             block, new = new, block
-        if fields is not None:
-            fields[t] = block[0]
+        if observe is not None:
+            observe(block)
         cuts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
         if d > 0.0:
             norms[:, t] = _norms(block, work, cbar, p)
@@ -317,14 +317,19 @@ def iterate(
     """Run one protocol: evolve with a single order, recording every iteration.
 
     The record carries the metric series at norm order p and, unless
-    record_metrics_only is set, every field; metrics-only records keep
-    memory bounded for long runs on big lattices. Equal protocols give
-    bit-identical records.
+    record_metrics_only is set, every field, collected by an observer of
+    the kernel; metrics-only records keep memory bounded for long runs on
+    big lattices. Equal protocols give bit-identical records.
     """
-    fields = None
+    fields = observe = None
     if not record_metrics_only:
         length = total_length(protocol.n, protocol.ratio)
         fields = np.empty((protocol.t_max + 1, length))
+        rows = iter(fields)
+
+        def observe(block):
+            next(rows)[:] = block[0]
+
     (series,) = evolve(protocol.n, protocol.ratio, protocol.d, protocol.t_max,
-                       [protocol.permutation], p=p, fields=fields)
+                       [protocol.permutation], p=p, observe=observe)
     return SpaceTimeRecord(protocol, fields, series)

@@ -20,8 +20,8 @@ def batchelor_length(t_hat: float, pe: float) -> float:
     """Diffusive washout scale pi * sqrt(t_hat / (2 pe)) on the unit segment."""
     if t_hat < 0:
         raise ValueError("normalized time must be nonnegative")
-    if pe <= 0:
-        raise ValueError("Peclet number must be positive")
+    if not 0.0 < pe < math.inf:
+        raise ValueError(f"Peclet number must be finite and positive, got {pe}")
     return math.pi * math.sqrt(t_hat / (2.0 * pe))
 
 
@@ -62,8 +62,8 @@ def solve_stopping_time(
         raise ValueError(
             f"avg_cuts must cover T = 0..{t_max}, got {cuts.size} entries"
         )
-    if pe <= 0:
-        raise ValueError("Peclet number must be positive")
+    if not 0.0 < pe < math.inf:
+        raise ValueError(f"Peclet number must be finite and positive, got {pe}")
     if mean_lengths is None:
         lengths = 1.0 / (cuts + 1.0)
     else:

@@ -137,6 +137,41 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
     assert err.startswith("error:") and "'mixing_norm'" in err
 
 
+@pytest.mark.parametrize("m", ["nan", "inf", "0"])
+def test_fit_rejects_bad_initial_value_naming_the_flag(tmp_path, capsys, m):
+    run_cli("simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
+            "--tmax", "20", "--d", "0.5", "--metrics-only", "--out", str(tmp_path))
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--series", str(tmp_path / "series.csv"), "--m", m,
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --m must be finite and positive")
+    assert not out.exists()
+
+
+COLLAPSE_RUN = ["collapse", "--n", "4", "--ratio", "3/2", "--d", "0.5", "--tmax", "60"]
+
+
+@pytest.mark.parametrize("grid_max", ["nan", "inf", "0", "-1"])
+def test_collapse_rejects_bad_grid_max_naming_the_flag(tmp_path, capsys, grid_max):
+    out = tmp_path / "out"
+    assert run_cli(*COLLAPSE_RUN, "--grid-max", grid_max, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --grid-max must be finite and positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_points", ["4", "0", "-3"])
+def test_collapse_rejects_too_few_grid_points_naming_the_flag(tmp_path, capsys, grid_points):
+    out = tmp_path / "out"
+    assert run_cli(*COLLAPSE_RUN, "--grid-points", grid_points, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: --grid-points must be at least 5")
+    assert not out.exists()
+
+
+def test_collapse_accepts_the_fewest_grid_points(tmp_path, capsys):
+    assert run_cli(*COLLAPSE_RUN, "--grid-points", "5", "--out", str(tmp_path)) == 0
+
+
 def test_oversized_lattice_reports_memory_error(tmp_path, capsys):
     # L is about 9.4e16 sites: inside the 64-bit capacity, far beyond memory.
     code = run_cli("simulate", "--n", "9", "--ratio", "101/100",

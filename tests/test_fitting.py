@@ -78,8 +78,12 @@ def test_fit_input_validation():
     y = stretched_exponential(t, 1.0, 3.0, 1.0)
     with pytest.raises(ValueError):
         fit_stretched_exponential(t[:4], y[:4], 1.0)
-    with pytest.raises(ValueError):
-        fit_stretched_exponential(t, y, 0.0)
+    for bad_m in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            fit_stretched_exponential(t, y, bad_m)
+    for bad_value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_stretched_exponential(t, np.where(t == 5.0, bad_value, y), 1.0)
     with pytest.raises(ValueError):
         fit_stretched_exponential(t, -y, 1.0)
     with pytest.raises(ValueError):

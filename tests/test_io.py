@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ import ietmix
 from ietmix.cli import main
 from ietmix.io import (
     SERIES_HEADER,
+    SpaceTimeWriter,
     export_collapse,
     export_ensemble,
     export_fit_scatter,
@@ -71,6 +76,23 @@ def test_spacetime_rejects_metrics_only_and_bad_format(tmp_path):
     rec = iterate(proto)
     with pytest.raises(ValueError):
         export_spacetime(rec, tmp_path / "x.bmp", format="bmp")
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_spacetime_writer_refuses_a_wrong_row_count(tmp_path, rows):
+    block = np.zeros((rows, 5))
+    with pytest.raises(ValueError, match="declared 3 rows"):
+        with SpaceTimeWriter(tmp_path / "x.pgm", (3, 5)) as write:
+            write(block)
+
+
+def test_spacetime_writer_chunks_keep_the_rows_in_order(tmp_path):
+    # Rows of 200,000 sites fill a 1 MB chunk one at a time.
+    fields = np.linspace(0.0, 1.0, 3 * 200_000).reshape(3, 200_000)
+    with SpaceTimeWriter(tmp_path / "x.csv", fields.shape, "csv") as write:
+        for row in fields:
+            write(row[None])
+    assert np.array_equal(np.loadtxt(tmp_path / "x.csv", delimiter=","), fields)
 
 
 def test_metadata_contents(tmp_path):
@@ -195,6 +217,57 @@ def test_table1_csv_bytes_unchanged(tmp_path):
         "table1.csv": "19a8811f86810a29e69524a0373fef1ed6ff0055ec5c3f0b15a68bf80c78fa1b",
     }
 
+
+# A diffusive raster of 121 rows of L = 1484 sites: 1.4 MB of float64,
+# more than one 1 MB chunk of the streaming writer. Hashes taken from
+# the command line when it still held the whole history in memory.
+RASTER = ["simulate", "--n", "4", "--ratio", "9/5", "--perm", "3,1,4,2", "--d", "0.3",
+          "--tmax", "120"]
+RASTER_SIDECARS = {
+    "metadata.json": "5e82b03cb7a7d7a3184ec9513963fb16fc9c993e8eb2e24fe2fecb3ba09813cb",
+    "series.csv": "bb9efc3d4d348a99c043a3e3ba6376552c998d5b621d9456e5c29b4b7dc3e27c",
+}
+
+
+def test_simulate_pgm_bytes_unchanged(tmp_path):
+    assert main([*RASTER, "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == {
+        **RASTER_SIDECARS,
+        "spacetime.pgm": "dd0db65f1c0a20d409d856aaac1c50be6e66cc24695d203353e7dc970223f913",
+    }
+
+
+def test_simulate_csv_bytes_unchanged(tmp_path):
+    assert main([*RASTER, "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == {
+        **RASTER_SIDECARS,
+        "spacetime.csv": "755f3c50d5c7fe7801f7fd6d919ff5ecae16d21f23e123ea5487a9e7cb05b3ca",
+    }
+
+
+_PEAK_RSS_PROBE = """
+import resource, sys
+from ietmix.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_simulate_raster_memory_does_not_grow_with_the_run(tmp_path):
+    # 13,001 rows of L = 1484 sites: a float64 history would take 154 MB.
+    rows, length = 13_001, 1484
+    history_kb = rows * length * 8 // 1024
+    src = Path(ietmix.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_PROBE, "simulate", "--n", "4", "--ratio", "9/5",
+         "--perm", "3,1,4,2", "--d", "0.5", "--tmax", str(rows - 1), "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split()[-2:])
+    assert code == 0
+    assert (tmp_path / "spacetime.pgm").stat().st_size > rows * length
+    assert peak_kb < history_kb
 
 # The package surface: the names the acceptance checks import plus the
 # two errors the README documents. Everything else lives in submodules.

@@ -97,6 +97,19 @@ def test_evolve_validates_its_inputs():
             evolve(4, Ratio(3, 2), 0.0, 5, [(3, 1, 4, 2)], p=bad_p)
     with pytest.raises(ValueError):
         evolve(4, Ratio(3, 2), 0.0, 5, [(2, 1, 3)])
-    with pytest.raises(ValueError):
-        evolve(4, Ratio(3, 2), 0.0, 5, [(3, 1, 4, 2), (2, 4, 1, 3)],
-               fields=np.empty((6, 65)))
+
+
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("orders", [
+    [(2, 4, 1, 3)],
+    [(2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)],
+])
+def test_observer_sees_every_state_once_in_order(orders, d):
+    t_max = 40
+    seen = []
+    evolve(4, Ratio(5, 4), d, t_max, orders, observe=lambda block: seen.append(block.copy()))
+    assert len(seen) == t_max + 1
+    for k, q in enumerate(orders):
+        want = reference_fields(Protocol(n=4, ratio=Ratio(5, 4), permutation=q, d=d,
+                                         t_max=t_max))
+        assert np.array_equal(np.array([block[k] for block in seen]), want)

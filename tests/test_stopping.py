@@ -28,6 +28,14 @@ def test_batchelor_validation():
         batchelor_length(0.1, 0.0)
 
 
+@pytest.mark.parametrize("pe", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_peclet_is_refused(pe):
+    with pytest.raises(ValueError, match="finite and positive"):
+        batchelor_length(0.5, pe)
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_stopping_time(np.arange(11.0), pe, 10)
+
+
 def test_constant_curve_has_closed_form_crossing():
     # With no cutting the striation length stays 1, so the crossing sits at
     # the first integer above 2*Pe*T_max/pi^2.
