@@ -122,6 +122,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _ratio(text, flag: str = "--ratio") -> Ratio:
+    """A ratio flag's fraction; a refusal names the flag."""
+    try:
+        return Ratio.parse(str(text))
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _resolve_tmax(args, length: int) -> int:
     if args.tmax is not None and args.tmax_from is not None:
         raise ValueError("--tmax and --tmax-from are mutually exclusive")
@@ -162,11 +170,16 @@ def _require(args, *names) -> None:
 
 def _cmd_simulate(args) -> int:
     _require(args, "n", "ratio", "perm")
-    ratio = Ratio.parse(args.ratio)
+    ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
     d = _resolve_d(args, length, t_max)
-    perm = tuple(int(v) for v in str(args.perm).split(","))
+    try:
+        perm = tuple(int(v) for v in str(args.perm).split(","))
+    except ValueError:
+        raise ValueError(
+            f"--perm takes comma-separated piece numbers such as 3,1,4,2, got {args.perm!r}"
+        ) from None
     p = _norm_order(args)
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
@@ -177,9 +190,9 @@ def _cmd_simulate(args) -> int:
         raster = SpaceTimeWriter(Path(args.out or ".") / f"spacetime.{fmt}",
                                  (t_max + 1, length), fmt)
     with raster or contextlib.nullcontext():
-        (series,) = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
+        series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
     out = _out_dir(args)
-    export_series(series, out / "series.csv")
+    export_series(series.row(0), out / "series.csv")
     write_json(out / "metadata.json", protocol_metadata(protocol, p))
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
@@ -202,15 +215,23 @@ def _cmd_list_permutations(args) -> int:
 
 
 def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
-    """(ratio, L, t_max, D) of every --ratio, all checked before any run."""
+    """(ratio, L, t_max, D) of every --ratio, all checked before any run.
+
+    A diffusive ensemble is fitted, so its budget must give the samples
+    a fit needs.
+    """
     if not args.ratio:
         raise ValueError("need at least one --ratio")
     runs = []
     for raw in args.ratio:
-        ratio = Ratio.parse(raw)
+        ratio = _ratio(raw)
         length = total_length(args.n, ratio)
         t_max = _resolve_tmax(args, length)
-        runs.append((ratio, length, t_max, _resolve_d(args, length, t_max)))
+        d = _resolve_d(args, length, t_max)
+        if d > 0.0 and t_max + 1 < MIN_FIT_SAMPLES:
+            raise ValueError(f"r={ratio}: tmax={t_max} gives {t_max + 1} samples, fewer than "
+                             f"the {MIN_FIT_SAMPLES} a fit needs")
+        runs.append((ratio, length, t_max, d))
     return runs
 
 
@@ -238,15 +259,21 @@ def _cmd_sweep(args) -> int:
 def _cmd_fit(args) -> int:
     col = args.column or "mixing_norm"
     with open(args.series, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read ""
         for name in ("T", col):
             if name not in (reader.fieldnames or ()):
                 raise ValueError(f"{args.series}: no column {name!r}")
         rows = list(reader)
     if not rows:
         raise ValueError(f"{args.series}: no data rows")
-    t = [float(row["T"]) for row in rows]
-    y = [float(row[col]) for row in rows]
+    t, y = [], []
+    for k, row in enumerate(rows, start=1):
+        for name, values in (("T", t), (col, y)):
+            try:
+                values.append(float(row[name]))
+            except ValueError:
+                raise ValueError(f"{args.series}: data row {k}, column {name!r}: "
+                                 f"not a number: {row[name]!r}") from None
     if args.m is not None and not 0.0 < args.m < math.inf:
         raise ValueError(f"--m must be finite and positive, got {args.m}")
     m = args.m if args.m is not None else y[0]
@@ -288,7 +315,7 @@ def _cmd_collapse(args) -> int:
 
 def _cmd_stopping_time(args) -> int:
     _require(args, "n", "ratio", "pe")
-    ratio = Ratio.parse(args.ratio)
+    ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
     pes = sorted(float(v) for v in args.pe)
@@ -314,9 +341,9 @@ def _cmd_stopping_time(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ratios = [Ratio.parse(r) for r in (args.ratio or
-              ["5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10"])]
-    ref = (Ratio.parse(args.ref_ratio or "5/4"),
+    ratios = [_ratio(r) for r in (args.ratio or
+                                  ["5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10"])]
+    ref = (_ratio(args.ref_ratio or "5/4", "--ref-ratio"),
            args.ref_tmax if args.ref_tmax is not None else 50)
     rows = table_one(ratios, n=args.n if args.n is not None else 4, reference=ref)
     print(f"{'r':>7} {'r_n':>4} {'xi':>6} {'L':>8} {'t_max':>8}")

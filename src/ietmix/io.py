@@ -16,7 +16,7 @@ import numpy as np
 
 from .diffusion import peclet_number
 from .fitting import FitResult
-from .lattice import Protocol, SpaceTimeRecord, total_length
+from .lattice import Protocol, total_length
 from .metrics import MetricSeries
 from .runner import CollapseResult, EnsembleResult
 
@@ -132,15 +132,6 @@ class SpaceTimeWriter:
                 self._fh.close()
 
 
-def export_spacetime(record: SpaceTimeRecord, path, format: str = "pgm") -> Path:
-    """A recorded run's fields as a space-time raster (see SpaceTimeWriter)."""
-    if record.fields is None:
-        raise ValueError("record holds no fields (metrics-only run)")
-    with SpaceTimeWriter(path, record.fields.shape, format) as write:
-        write(record.fields)
-    return Path(path)
-
-
 def protocol_metadata(protocol: Protocol, p: float = 2.0) -> dict:
     """Resolved-run description embedded beside every output."""
     pe = None
@@ -167,9 +158,8 @@ def export_ensemble(ens: EnsembleResult, out_dir) -> Path:
               ["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"],
               zip(range(ens.t_max + 1), ens.avg_norm.tolist(), ens.avg_cut.tolist(),
                   ens.avg_subseg.tolist()))
-    norms = np.array([s.mixing_norm for s in ens.series]).T
     write_csv(out / "permutation_norms.csv", ["T"] + labels,
-              ([i] + row.tolist() for i, row in enumerate(norms)))
+              ([i] + row.tolist() for i, row in enumerate(ens.series.mixing_norm.T)))
     write_json(out / "ensemble.json", {
         "n": ens.n,
         "ratio": {"num": ens.ratio.num, "den": ens.ratio.den},

@@ -51,10 +51,11 @@ class Ratio:
     def parse(cls, text: str) -> "Ratio":
         """Parse 'a/b'. Fractions only: a float literal would smuggle in an
         implicit, surprising rational reconstruction."""
-        num, sep, den = text.partition("/")
-        if not sep:
-            raise ValueError(f"ratio must be written as a fraction a/b, got {text!r}")
-        return cls(int(num), int(den))
+        try:
+            num, den = (int(term) for term in text.split("/"))
+        except ValueError:
+            raise ValueError(f"ratio must be a fraction a/b, got {text!r}") from None
+        return cls(num, den)
 
     def __float__(self) -> float:
         return self.num / self.den
@@ -162,24 +163,6 @@ class Protocol:
         object.__setattr__(self, "t_max", int(self.t_max))
 
 
-@dataclass(frozen=True)
-class SpaceTimeRecord:
-    """Per-iteration history of one run: its metric series and, unless
-    the run was metrics-only, the full fields (t_max+1 rows of L sites)."""
-
-    protocol: Protocol
-    fields: np.ndarray | None
-    series: MetricSeries
-
-    def __len__(self) -> int:
-        return self.protocol.t_max + 1
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        if self.fields is None:
-            raise ValueError("record holds metric snapshots only, not fields")
-        return self.fields[t]
-
-
 def _shuffle_indices(protocol: Protocol) -> np.ndarray:
     """Site-index gather map of one shuffle; cuts sit at fixed positions."""
     lengths = subsegment_lengths(protocol.n, protocol.ratio)
@@ -226,7 +209,7 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
 def evolve(
     n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
     observe=None,
-) -> tuple[MetricSeries, ...]:
+) -> MetricSeries:
     """Run every shuffle order of one (N, r, D, T_max) family at once.
 
     The P orders evolve as one C-contiguous (P, L) block, row k holding
@@ -237,16 +220,15 @@ def evolve(
     by row * L) followed by the arithmetic of diffusion_step, so each
     row is bit-identical to composing shuffle_step and diffusion_step.
     The diagnostics of every iteration are evaluated along rows into
-    (P, T_max+1) arrays and equal compute_series on that row's fields
-    bit for bit. Without diffusion each state is a permutation of the
-    initial field, and the norm sums sorted deviations, so the norm is
-    evaluated once at T = 0.
+    (P, T_max+1) arrays, row k equal bit for bit to compute_series on
+    the fields of permutations[k]. Without diffusion each state is a
+    permutation of the initial field, and the norm sums sorted
+    deviations, so the norm is evaluated once at T = 0.
 
     observe, when given, is called with the (P, L) block after every
     iteration, T = 0 first, once all buffers are allocated. The block is
     a buffer the kernel reuses, so an observer copies whatever it keeps.
-    Returns one MetricSeries (at norm order p) per order, in the given
-    order.
+    Returns one MetricSeries at norm order p holding those arrays.
     """
     protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
                  for q in permutations]
@@ -274,7 +256,6 @@ def evolve(
     cuts = np.empty((rows, t_max + 1), dtype=np.int64)
     longest = np.empty((rows, t_max + 1), dtype=np.int64)
     norms = np.empty((rows, t_max + 1))
-    colors = np.empty((rows, t_max + 1))
     cbar = float(field.mean())
     if d == 0.0:
         norms[:] = _norms(block[:1], work[:1], cbar, p)[0]
@@ -301,35 +282,21 @@ def evolve(
         cuts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
         if d > 0.0:
             norms[:, t] = _norms(block, work, cbar, p)
-        colors[:, t] = block.mean(axis=1)
-
-    unmixed = 100.0 * longest / length
-    return tuple(
-        _make_series(cuts[k], unmixed[k], norms[k], colors[k], p, cbar,
-                     runs_exact=d == 0.0)
-        for k in range(rows)
-    )
+    return _make_series(cuts, 100.0 * longest / length, norms, p, cbar)
 
 
-def iterate(
-    protocol: Protocol, record_metrics_only: bool = False, p: float = 2.0
-) -> SpaceTimeRecord:
-    """Run one protocol: evolve with a single order, recording every iteration.
+def iterate(protocol: Protocol) -> np.ndarray:
+    """Every field of one run, T = 0..t_max, as a (t_max+1, L) array.
 
-    The record carries the metric series at norm order p and, unless
-    record_metrics_only is set, every field, collected by an observer of
-    the kernel; metrics-only records keep memory bounded for long runs on
-    big lattices. Equal protocols give bit-identical records.
+    The kernel runs with the single order and an observer collects each
+    state; equal protocols give bit-identical fields.
     """
-    fields = observe = None
-    if not record_metrics_only:
-        length = total_length(protocol.n, protocol.ratio)
-        fields = np.empty((protocol.t_max + 1, length))
-        rows = iter(fields)
+    fields = np.empty((protocol.t_max + 1, total_length(protocol.n, protocol.ratio)))
+    rows = iter(fields)
 
-        def observe(block):
-            next(rows)[:] = block[0]
+    def observe(block):
+        next(rows)[:] = block[0]
 
-    (series,) = evolve(protocol.n, protocol.ratio, protocol.d, protocol.t_max,
-                       [protocol.permutation], p=p, observe=observe)
-    return SpaceTimeRecord(protocol, fields, series)
+    evolve(protocol.n, protocol.ratio, protocol.d, protocol.t_max, [protocol.permutation],
+           observe=observe)
+    return fields

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .lattice import SpaceTimeRecord
 
 
 def _as_field(field) -> np.ndarray:
@@ -72,11 +68,13 @@ def mixing_norm(field, cbar: float | None = None, p: float = 2.0) -> float:
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Per-iteration mixing diagnostics of one run.
+    """Per-iteration mixing diagnostics of one run, or of an ensemble.
 
-    percent_unmixed and mean_subseg_len rely on exact-equality runs of
-    values, so they are faithful striation diagnostics only for
-    diffusion-free dynamics; runs_exact records that. cbar is the
+    The metric arrays have shape (T+1,) for one run and (P, T+1) for an
+    ensemble of P shuffle orders, row k holding order k; t is always
+    the (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely
+    on exact-equality runs of values, so they are faithful striation
+    diagnostics only for diffusion-free (D = 0) dynamics. cbar is the
     reference color frozen from T = 0 and reused at every iteration.
     """
 
@@ -85,49 +83,43 @@ class MetricSeries:
     percent_unmixed: np.ndarray
     mixing_norm: np.ndarray
     mean_subseg_len: np.ndarray
-    mean_color: np.ndarray
     p: float
     cbar: float
-    runs_exact: bool
 
     def __len__(self) -> int:
         return self.t.size
 
+    def row(self, k: int) -> "MetricSeries":
+        """The one-run series of order k of an ensemble."""
+        return _make_series(self.cut_count[k], self.percent_unmixed[k],
+                            self.mixing_norm[k], self.p, self.cbar)
 
-def _make_series(cuts, unmixed, norms, colors, p: float, cbar: float,
-                 runs_exact: bool) -> MetricSeries:
+
+def _make_series(cuts, unmixed, norms, p: float, cbar: float) -> MetricSeries:
     """A MetricSeries from per-iteration metric arrays; T runs from 0."""
     return MetricSeries(
-        t=np.arange(cuts.size, dtype=np.int64),
+        t=np.arange(cuts.shape[-1], dtype=np.int64),
         cut_count=cuts,
         percent_unmixed=unmixed,
         mixing_norm=norms,
         mean_subseg_len=1.0 / (cuts + 1.0),
-        mean_color=colors,
         p=float(p),
         cbar=float(cbar),
-        runs_exact=runs_exact,
     )
 
 
-def compute_series(record: "SpaceTimeRecord", p: float = 2.0) -> MetricSeries:
-    """Evaluate every diagnostic at every recorded iteration.
+def compute_series(fields, p: float = 2.0) -> MetricSeries:
+    """Evaluate every diagnostic at every iteration of a (T+1, L) history.
 
     The norm reference is frozen from the T = 0 field. Fields are scored
     one at a time by the single-field metrics above; this is the
     reference the batched kernel (lattice.evolve) is checked against.
-    A metrics-only record has no fields to score: use its series.
     """
-    fields = record.fields
-    if fields is None:
-        raise ValueError("record holds no fields (metrics-only run); use record.series")
     cbar = average_color(fields[0])
     return _make_series(
         np.array([cut_count(f) for f in fields], dtype=np.int64),
         np.array([percent_unmixed(f) for f in fields]),
         np.array([mixing_norm(f, cbar, p) for f in fields]),
-        np.array([average_color(f) for f in fields]),
         p,
         cbar,
-        runs_exact=record.protocol.d == 0.0,
     )

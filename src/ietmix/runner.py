@@ -24,7 +24,10 @@ from .stopping import StoppingTimeSolution, solve_stopping_time
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Averaged mixing behavior of one protocol family across shuffle orders."""
+    """Averaged mixing behavior of one protocol family across shuffle orders.
+
+    series holds the (P, T+1) metric arrays, row k for permutations[k].
+    """
 
     n: int
     ratio: Ratio
@@ -32,7 +35,7 @@ class EnsembleResult:
     t_max: int
     p: float
     permutations: tuple[Perm, ...]
-    series: tuple[MetricSeries, ...]
+    series: MetricSeries
     avg_norm: np.ndarray
     avg_cut: np.ndarray
     avg_subseg: np.ndarray
@@ -56,10 +59,8 @@ def run_ensemble(
     if permutations is None:
         permutations = enumerate_allowed(n)
     perms = tuple(tuple(int(v) for v in q) for q in permutations)
-    all_series = evolve(n, ratio, d, t_max, perms, p=p)
-    avg_norm = np.mean([s.mixing_norm for s in all_series], axis=0)
-    avg_cut = np.mean([s.cut_count for s in all_series], axis=0)
-    avg_subseg = np.mean([s.mean_subseg_len for s in all_series], axis=0)
+    series = evolve(n, ratio, d, t_max, perms, p=p)
+    avg_norm = series.mixing_norm.mean(axis=0)
     m = float(avg_norm[0])
     fit = None
     t_pe = None
@@ -74,10 +75,10 @@ def run_ensemble(
         t_max=int(t_max),
         p=float(p),
         permutations=perms,
-        series=all_series,
+        series=series,
         avg_norm=avg_norm,
-        avg_cut=avg_cut,
-        avg_subseg=avg_subseg,
+        avg_cut=series.cut_count.mean(axis=0),
+        avg_subseg=series.mean_subseg_len.mean(axis=0),
         m=m,
         fit=fit,
         t_pe=t_pe,
@@ -124,7 +125,7 @@ def collapse(
     for ens in usable:
         x = np.arange(ens.t_max + 1, dtype=np.float64) / ens.t_pe
         curves.append(np.interp(grid, x, ens.avg_norm / ens.m))
-        members.extend(np.interp(grid, x, s.mixing_norm / ens.m) for s in ens.series)
+        members.extend(np.interp(grid, x, norm / ens.m) for norm in ens.series.mixing_norm)
     curves = np.vstack(curves)
     return CollapseResult(
         grid=grid,
@@ -175,7 +176,7 @@ def steepening_report(
         max_slope = None
         if max_slopes and sol.found:
             series = evolve(n, ratio, d, t_max, base.permutations, p=p)
-            avg_norm = np.mean([s.mixing_norm for s in series], axis=0)
+            avg_norm = series.mixing_norm.mean(axis=0)
             drop = np.abs(np.diff(avg_norm / float(avg_norm[0])))
             max_slope = float(drop.max()) * sol.interpolated
         rows.append(SteepeningRow(pe=pe, d=d, solution=sol, max_slope=max_slope))

@@ -336,6 +336,46 @@ def test_malformed_tmax_from_names_the_flag(capsys):
     assert err.startswith("error: --tmax-from") and "L_ref,T_ref" in err
 
 
+def test_malformed_ratio_names_the_flag(capsys):
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4/3", "--perm", "3,1,4,2",
+                   "--tmax", "5")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --ratio") and "fraction a/b" in err and "'5/4/3'" in err
+
+
+def test_malformed_perm_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,x,2",
+                   "--tmax", "5", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --perm") and "'3,1,x,2'" in err
+    assert not out.exists()
+
+
+def test_fit_names_the_file_row_and_column_of_a_bad_cell(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("T,mixing_norm\n0,0.5\n1,abc\n2,0.1\n")
+    assert run_cli("fit", "--series", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: data row 2, column 'mixing_norm'")
+    assert "'abc'" in err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "collapse"])
+def test_budget_too_short_to_fit_is_refused_before_any_run(tmp_path, capsys, verb):
+    # 9/5 gets 21 samples; 5/4 (L = 369) gets tmax = 2, three samples.
+    out = tmp_path / "out"
+    code = run_cli(verb, "--n", "4", "--ratio", "9/5", "--ratio", "5/4",
+                   "--tmax-from", "1484,20", "--d", "0.5", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: r=5/4") and "samples" in captured.err
+    assert captured.out == ""  # no ensemble ran
+    assert not out.exists()
+
+
 def test_list_permutations_rejected_output_unchanged(capsys):
     # Digest of the full n = 5 listing as printed by the all-orders filter
     # that preceded the pruned generator: 62 allowed, a blank line, 58 rejected.

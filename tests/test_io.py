@@ -20,7 +20,6 @@ from ietmix.io import (
     export_ensemble,
     export_fit_scatter,
     export_series,
-    export_spacetime,
     export_steepening,
     export_table_one,
     protocol_metadata,
@@ -32,13 +31,19 @@ from ietmix.runner import collapse, run_ensemble, steepening_report, table_one
 
 
 @pytest.fixture()
-def short_record():
+def short_fields():
     proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=2)
     return iterate(proto)
 
 
-def test_series_csv_roundtrip(tmp_path, short_record):
-    series = compute_series(short_record)
+def write_raster(fields, path, format="pgm"):
+    with SpaceTimeWriter(path, fields.shape, format) as write:
+        write(fields)
+    return path
+
+
+def test_series_csv_roundtrip(tmp_path, short_fields):
+    series = compute_series(short_fields)
     path = export_series(series, tmp_path / "series.csv")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -49,8 +54,8 @@ def test_series_csv_roundtrip(tmp_path, short_record):
     assert float(rows[3][2]) == pytest.approx(300.0 / 13)
 
 
-def test_spacetime_pgm_layout(tmp_path, short_record):
-    path = export_spacetime(short_record, tmp_path / "grid.pgm")
+def test_spacetime_pgm_layout(tmp_path, short_fields):
+    path = write_raster(short_fields, tmp_path / "grid.pgm")
     blob = path.read_bytes()
     header = b"P5\n65 3\n255\n"
     assert blob.startswith(header)
@@ -61,21 +66,17 @@ def test_spacetime_pgm_layout(tmp_path, short_record):
     assert body[0, 10] == 85  # round(255/3)
 
 
-def test_spacetime_csv_matrix(tmp_path, short_record):
-    path = export_spacetime(short_record, tmp_path / "grid.csv", format="csv")
+def test_spacetime_csv_matrix(tmp_path, short_fields):
+    path = write_raster(short_fields, tmp_path / "grid.csv", format="csv")
     grid = np.loadtxt(path, delimiter=",")
     assert grid.shape == (3, 65)
-    assert np.array_equal(grid[0], short_record[0])
+    assert np.array_equal(grid[0], short_fields[0])
 
 
-def test_spacetime_rejects_metrics_only_and_bad_format(tmp_path):
-    proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=2)
-    light = iterate(proto, record_metrics_only=True)
-    with pytest.raises(ValueError):
-        export_spacetime(light, tmp_path / "x.pgm")
-    rec = iterate(proto)
-    with pytest.raises(ValueError):
-        export_spacetime(rec, tmp_path / "x.bmp", format="bmp")
+def test_spacetime_writer_rejects_a_bad_format(tmp_path, short_fields):
+    with pytest.raises(ValueError, match="unknown space-time format"):
+        write_raster(short_fields, tmp_path / "x.bmp", format="bmp")
+    assert not (tmp_path / "x.bmp").exists()
 
 
 @pytest.mark.parametrize("rows", [2, 4])
@@ -245,11 +246,16 @@ def test_simulate_csv_bytes_unchanged(tmp_path):
     }
 
 
+# The probe's own peak resident set (VmHWM, in kB). ru_maxrss is no use
+# here: Linux carries the parent's high-water mark across execve, so a
+# child of a big pytest process would report the parent's peak.
 _PEAK_RSS_PROBE = """
-import resource, sys
+import sys
 from ietmix.cli import main
 code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, peak_kb)
 """
 
 

@@ -6,8 +6,6 @@ diffusion_step, scored field by field with compute_series, and the two
 must agree bit for bit, averages included.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -24,8 +22,7 @@ from ietmix.lattice import (
 from ietmix.metrics import compute_series
 from ietmix.runner import run_ensemble
 
-SERIES_FIELDS = ("t", "cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len",
-                 "mean_color")
+METRICS = ("cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len")
 
 
 def reference_fields(protocol):
@@ -40,16 +37,10 @@ def reference_fields(protocol):
     return np.array(fields)
 
 
-def reference_series(protocol, p):
-    # compute_series reads only a record's protocol and fields.
-    record = SimpleNamespace(protocol=protocol, fields=reference_fields(protocol))
-    return compute_series(record, p)
-
-
 def assert_same_series(got, want):
-    for name in SERIES_FIELDS:
+    for name in ("t",) + METRICS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert (got.p, got.cbar, got.runs_exact) == (want.p, want.cbar, want.runs_exact)
+    assert (got.p, got.cbar) == (want.p, want.cbar)
 
 
 # n = 3, 4, 5 have 1, 9 and 62 allowed orders; L = 151, 1484, 13981 at
@@ -68,12 +59,17 @@ def assert_same_series(got, want):
 def test_ensemble_matches_the_reference_path(n, ratio, t_max, d, p):
     ens = run_ensemble(n, ratio, d, t_max, p=p)
     want = [
-        reference_series(Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max), p)
+        compute_series(reference_fields(
+            Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)), p)
         for q in ens.permutations
     ]
-    assert len(ens.series) == len(want)
-    for got, ref in zip(ens.series, want):
-        assert_same_series(got, ref)
+    got = ens.series
+    assert np.array_equal(got.t, want[0].t)
+    assert (got.p, got.cbar) == (want[0].p, want[0].cbar)
+    for name in METRICS:
+        assert getattr(got, name).shape == (len(want), t_max + 1), name
+        for k, ref in enumerate(want):
+            assert np.array_equal(getattr(got, name)[k], getattr(ref, name)), (name, k)
     assert np.array_equal(ens.avg_norm, np.mean([s.mixing_norm for s in want], axis=0))
     assert np.array_equal(ens.avg_cut, np.mean([s.cut_count for s in want], axis=0))
     assert np.array_equal(ens.avg_subseg,
@@ -83,10 +79,10 @@ def test_ensemble_matches_the_reference_path(n, ratio, t_max, d, p):
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
 def test_iterate_fields_and_series_match_the_reference_path(d):
     proto = Protocol(n=4, ratio=Ratio(5, 4), permutation=(2, 4, 1, 3), d=d, t_max=80)
-    record = iterate(proto)
-    assert np.array_equal(record.fields, reference_fields(proto))
-    assert_same_series(record.series, compute_series(record))
-    assert_same_series(iterate(proto, record_metrics_only=True).series, record.series)
+    fields = iterate(proto)
+    assert np.array_equal(fields, reference_fields(proto))
+    series = evolve(proto.n, proto.ratio, d, proto.t_max, [proto.permutation])
+    assert_same_series(series.row(0), compute_series(fields))
 
 
 def test_evolve_validates_its_inputs():

@@ -153,29 +153,9 @@ def test_iterate_records_every_step():
     assert np.array_equal(rec[1], by_hand)
 
 
-def test_iterate_metrics_only_matches_full_record():
-    proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.3, t_max=20)
-    full = compute_series(iterate(proto))
-    light = iterate(proto, record_metrics_only=True).series
-    assert np.array_equal(full.mixing_norm, light.mixing_norm)
-    assert np.array_equal(full.cut_count, light.cut_count)
-    assert np.array_equal(full.percent_unmixed, light.percent_unmixed)
-    assert full.cbar == light.cbar
-
-
-def test_metrics_only_record_has_no_fields():
-    proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=3)
-    rec = iterate(proto, record_metrics_only=True)
-    assert rec.fields is None
-    with pytest.raises(ValueError):
-        rec[0]
-
-
 def test_iterate_is_deterministic():
     proto = Protocol(n=4, ratio=Ratio(5, 4), permutation=(2, 4, 1, 3), d=0.5, t_max=40)
-    a = iterate(proto, record_metrics_only=True).series
-    b = iterate(proto, record_metrics_only=True).series
-    assert np.array_equal(a.mixing_norm, b.mixing_norm)
+    assert np.array_equal(iterate(proto), iterate(proto))
 
 
 def test_diffusionless_run_permutes_sites_only():

@@ -109,22 +109,13 @@ def test_compute_series_full_trace():
     assert series.percent_unmixed[0] == pytest.approx(100.0 * 27 / 65)
     assert series.percent_unmixed[2] == pytest.approx(300.0 / 13)
     assert series.mean_subseg_len.tolist() == [0.25, 0.25, 1.0 / 7.0]
-    assert series.runs_exact is True
     assert len(series) == 3
 
 
 def test_series_norm_reference_frozen_at_start():
     proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.5, t_max=8)
-    series = compute_series(iterate(proto))
+    fields = iterate(proto)
+    series = compute_series(fields)
     assert series.cbar == average_color(initial_field(4, Ratio(3, 2)))
-    assert series.runs_exact is False
     # The reference color never drifts even though the field diffuses.
-    assert series.mean_color == pytest.approx([series.cbar] * 9, abs=1e-12)
-
-
-def test_compute_series_needs_fields():
-    # A metrics-only record carries its series and no fields to re-score.
-    proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=2)
-    rec = iterate(proto, record_metrics_only=True, p=2.0)
-    with pytest.raises(ValueError):
-        compute_series(rec, p=2.0)
+    assert [average_color(f) for f in fields] == pytest.approx([series.cbar] * 9, abs=1e-12)
