@@ -12,8 +12,8 @@ Verbs:
 Any value flag can also come from a JSON config file (--config, keys
 named like the flag destinations); explicit flags win. Config values are
 converted like the flag's own text would be, and an unknown key is an
-error. Output directories are created only once the inputs have been
-checked; every one gets the resolved configuration written beside the
+error. A verb's files appear in --out only when the verb succeeds (see
+io.output_dir); every output gets the resolved configuration beside the
 data.
 """
 
@@ -43,6 +43,7 @@ from .io import (
     fit_payload,
     json_text,
     order_label,
+    output_dir,
     protocol_metadata,
     write_json,
 )
@@ -116,12 +117,6 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, _config_value(action, key, value))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _ratio(text, flag: str = "--ratio") -> Ratio:
     """A ratio flag's fraction; a refusal names the flag."""
     try:
@@ -134,6 +129,8 @@ def _resolve_tmax(args, length: int) -> int:
     if args.tmax is not None and args.tmax_from is not None:
         raise ValueError("--tmax and --tmax-from are mutually exclusive")
     if args.tmax is not None:
+        if args.tmax < 0:
+            raise ValueError(f"--tmax must be nonnegative, got {args.tmax}")
         return args.tmax
     if args.tmax_from is not None:
         try:
@@ -151,6 +148,8 @@ def _resolve_d(args, length: int, t_max: int) -> float:
         raise ValueError("--d and --pe are mutually exclusive")
     if args.pe is not None:
         return diffusivity_from_peclet(length, args.pe, t_max)
+    if args.d is not None and not 0.0 <= args.d <= 0.5:
+        raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
     return args.d if args.d is not None else 0.0
 
 
@@ -183,20 +182,15 @@ def _cmd_simulate(args) -> int:
     p = _norm_order(args)
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
-    raster = None
-    if not (args.metrics_only or fmt == "json"):
-        # Each state goes to disk as the kernel makes it; the writer
-        # creates the output directory with its first chunk.
-        raster = SpaceTimeWriter(Path(args.out or ".") / f"spacetime.{fmt}",
-                                 (t_max + 1, length), fmt)
-    with raster or contextlib.nullcontext():
-        series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
-    out = _out_dir(args)
-    export_series(series.row(0), out / "series.csv")
-    write_json(out / "metadata.json", protocol_metadata(protocol, p))
+    with output_dir(args.out) as out:
+        with (contextlib.nullcontext() if args.metrics_only or fmt == "json" else
+              SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
+            series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
+        export_series(series.row(0), out / "series.csv")
+        write_json(out / "metadata.json", protocol_metadata(protocol, p))
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
-        f"d={d:g} tmax={t_max} (L={length}) -> {out}"
+        f"d={d:g} tmax={t_max} (L={length}) -> {Path(args.out or '.')}"
     )
     return 0
 
@@ -238,21 +232,21 @@ def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
 def _cmd_sweep(args) -> int:
     _require(args, "n")
     runs = _ratio_runs(args)
-    out = _out_dir(args)
     p = _norm_order(args)
     entries = []
-    for ratio, length, t_max, d in runs:
-        ens = run_ensemble(args.n, ratio, d, t_max, p=p)
-        export_ensemble(ens, out / f"r{ratio.num}_{ratio.den}")
-        if ens.fit is not None:
-            entries.append((ratio, d, ens.fit))
-        print(
-            f"r={ratio}: L={length} tmax={t_max} d={d:g}"
-            + (f" tau={ens.fit.tau:.4g} alpha={ens.fit.alpha:.4g}" if ens.fit else "")
-        )
-    if entries:
-        export_fit_scatter(entries, out / "fits.csv")
-    _write_config(out, {"verb": "sweep", "n": args.n, "p": p})
+    with output_dir(args.out) as out:
+        for ratio, length, t_max, d in runs:
+            ens = run_ensemble(args.n, ratio, d, t_max, p=p)
+            export_ensemble(ens, out / f"r{ratio.num}_{ratio.den}")
+            if ens.fit is not None:
+                entries.append((ratio, d, ens.fit))
+            print(
+                f"r={ratio}: L={length} tmax={t_max} d={d:g}"
+                + (f" tau={ens.fit.tau:.4g} alpha={ens.fit.alpha:.4g}" if ens.fit else "")
+            )
+        if entries:
+            export_fit_scatter(entries, out / "fits.csv")
+        _write_config(out, {"verb": "sweep", "n": args.n, "p": p})
     return 0
 
 
@@ -281,7 +275,8 @@ def _cmd_fit(args) -> int:
     payload = fit_payload(fit)
     print(json_text(payload))
     if args.out:
-        write_json(_out_dir(args) / "fit.json", payload)
+        with output_dir(args.out) as out:
+            write_json(out / "fit.json", payload)
     return 0
 
 
@@ -295,21 +290,24 @@ def _cmd_collapse(args) -> int:
                          f"a fit needs, got {grid_points}")
     if not 0.0 < grid_max < math.inf:
         raise ValueError(f"--grid-max must be finite and positive, got {grid_max}")
+    runs = _ratio_runs(args)
+    if any(d == 0.0 for *_, d in runs):
+        raise ValueError("collapse fits diffusive ensembles only: give --d > 0 or --pe")
     ensembles = []
-    for ratio, length, t_max, d in _ratio_runs(args):
+    for ratio, length, t_max, d in runs:
         ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
     cr = collapse(ensembles, grid_points=grid_points, grid_max=grid_max)
-    out = _out_dir(args)
-    export_collapse(cr, out / "collapse.csv")
     payload = {
         "tau_universal": cr.fit.tau, "alpha_universal": cr.fit.alpha,
         "sse": cr.fit.sse, "converged": cr.fit.converged,
     }
-    write_json(out / "universal_fit.json", payload)
+    with output_dir(args.out) as out:
+        export_collapse(cr, out / "collapse.csv")
+        write_json(out / "universal_fit.json", payload)
+        _write_config(out, {"verb": "collapse", "n": args.n, "p": p,
+                            "grid_points": grid_points, "grid_max": grid_max})
     print(json_text(payload))
-    _write_config(out, {"verb": "collapse", "n": args.n, "p": p,
-                        "grid_points": grid_points, "grid_max": grid_max})
     return 0
 
 
@@ -325,8 +323,11 @@ def _cmd_stopping_time(args) -> int:
         args.n, ratio, t_max, pes, p=p,
         use_mean_lengths=lm_mode == "length", max_slopes=args.steepening,
     )
-    out = _out_dir(args)
-    export_steepening(rows, out / "stopping_times.csv")
+    with output_dir(args.out) as out:
+        export_steepening(rows, out / "stopping_times.csv")
+        _write_config(out, {"verb": "stopping-time", "n": args.n, "ratio": str(ratio),
+                            "tmax": t_max, "pe": pes, "lm_mode": lm_mode,
+                            "steepening": args.steepening})
     for row in rows:
         sol = row.solution
         if sol.found:
@@ -334,9 +335,6 @@ def _cmd_stopping_time(args) -> int:
             print(f"pe={row.pe:g}: T_stop={sol.iteration} (interp {sol.interpolated:.2f}){extra}")
         else:
             print(f"pe={row.pe:g}: no crossing within tmax={t_max}")
-    _write_config(out, {"verb": "stopping-time", "n": args.n, "ratio": str(ratio),
-                        "tmax": t_max, "pe": pes, "lm_mode": lm_mode,
-                        "steepening": args.steepening})
     return 0
 
 
@@ -350,7 +348,8 @@ def _cmd_table1(args) -> int:
     for row in rows:
         print(f"{str(row.ratio):>7} {row.r_n:>4} {row.xi:>6} {row.length:>8} {row.t_max:>8}")
     if args.out:
-        export_table_one(rows, _out_dir(args) / "table1.csv")
+        with output_dir(args.out) as out:
+            export_table_one(rows, out / "table1.csv")
     return 0
 
 

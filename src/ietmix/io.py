@@ -3,13 +3,18 @@
 CSV tables go through write_csv and JSON documents through write_json;
 space-time fields are P5 graymaps or raw float matrices. Rows are built
 from Python scalars (tolist, int, float), never NumPy scalars, whose
-repr would leak into the text.
+repr would leak into the text. A verb writes its files inside
+output_dir, which keeps them out of the output directory unless it succeeds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,29 @@ def write_json(path, payload) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def output_dir(out=None):
+    """Yield a staging directory whose files move into out (default ".") on success.
+
+    The stage is a hidden .ietmix-* directory in out or its nearest existing
+    ancestor, so each move is a same-filesystem os.replace. On success out is
+    created if needed and every file, nested ones too, is moved in one by one
+    (out may be "."); on any exception, even KeyboardInterrupt, the stage is removed.
+    """
+    out = Path(out or ".")
+    parent = next(p for p in (out, *out.parents) if p.exists())
+    stage = Path(tempfile.mkdtemp(prefix=".ietmix-", dir=parent))
+    try:
+        yield stage
+        for root, _, files in os.walk(stage):
+            target = out / Path(root).relative_to(stage)
+            target.mkdir(parents=True, exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(root, name), target / name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def order_label(perm) -> str:
     """A shuffle order as its digits: (2, 4, 1, 3) -> "2413"."""
     return "".join(map(str, perm))
@@ -74,10 +102,9 @@ class SpaceTimeWriter:
     full buffer as one chunk, so memory stays O(L) however long the run.
     pgm is binary P5 with colors mapped [0, 1] -> 0..255, its header
     written from the declared (rows, width) shape; csv is the raw float
-    matrix. The file, and its directory, are created with the first
-    chunk, so a run that fails before its first state writes nothing.
-    Use as a context manager: leaving the block without an error writes
-    the last rows and checks that exactly the declared rows arrived.
+    matrix. Use as a context manager: entering opens the file, and
+    leaving the block without an error writes the last rows and checks
+    that exactly the declared rows arrived.
     """
 
     def __init__(self, path, shape: tuple[int, int], format: str = "pgm"):
@@ -87,7 +114,6 @@ class SpaceTimeWriter:
         self.rows, width = shape
         self._chunk = np.empty((max(1, _CHUNK_BYTES // (8 * width)), width))
         self._filled = self._written = 0
-        self._fh = None
 
     def __call__(self, block) -> None:
         block = np.asarray(block)
@@ -105,18 +131,15 @@ class SpaceTimeWriter:
         self._filled = 0
         if self._written > self.rows:
             raise ValueError(f"space-time raster declared {self.rows} rows, got more")
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "wb")
-            if self.format == "pgm":
-                width = self._chunk.shape[1]
-                self._fh.write(f"P5\n{width} {self.rows}\n255\n".encode("ascii"))
         if self.format == "pgm":
             self._fh.write(np.clip(np.rint(chunk * 255.0), 0, 255).astype(np.uint8).tobytes())
         else:
             np.savetxt(self._fh, chunk, delimiter=",", fmt="%.17g")
 
     def __enter__(self) -> "SpaceTimeWriter":
+        self._fh = open(self.path, "wb")
+        if self.format == "pgm":
+            self._fh.write(f"P5\n{self._chunk.shape[1]} {self.rows}\n255\n".encode("ascii"))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -128,8 +151,7 @@ class SpaceTimeWriter:
                         f"space-time raster declared {self.rows} rows, got {self._written}"
                     )
         finally:
-            if self._fh is not None:
-                self._fh.close()
+            self._fh.close()
 
 
 def protocol_metadata(protocol: Protocol, p: float = 2.0) -> dict:

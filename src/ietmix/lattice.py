@@ -214,11 +214,12 @@ def evolve(
 
     The P orders evolve as one C-contiguous (P, L) block, row k holding
     the field of permutations[k]. T = 0 is the initial field; iteration
-    T shuffles and then, when D > 0, applies one diffusion sweep. Both
-    are fused into gathers from the previous block through precomputed
-    flat index maps (sigma, roll(sigma, -1) and roll(sigma, 1), offset
-    by row * L) followed by the arithmetic of diffusion_step, so each
-    row is bit-identical to composing shuffle_step and diffusion_step.
+    T shuffles and then, when D > 0, applies one diffusion sweep. The
+    shuffle is one gather from the previous block through a precomputed
+    flat index map (sigma, offset by row * L); the right and left
+    neighbors are one-column periodic shifts of the gathered block, and
+    the arithmetic is that of diffusion_step, so each row is
+    bit-identical to composing shuffle_step and diffusion_step.
     The diagnostics of every iteration are evaluated along rows into
     (P, T_max+1) arrays, row k equal bit for bit to compute_series on
     the fields of permutations[k]. Without diffusion each state is a
@@ -241,12 +242,7 @@ def evolve(
     rows, length = len(protocols), field.size
 
     bounds = np.arange(rows + 1, dtype=np.intp) * length
-    sigma = np.stack([_shuffle_indices(q) for q in protocols]) + bounds[:-1, None]
-    # Flat gather maps into the previous block: own sites, then the
-    # right (c_{i+1}) and left (c_{i-1}) neighbors after the shuffle.
-    own_ix = sigma.ravel() if d != 0.5 else None
-    right_ix = np.roll(sigma, -1, axis=1).ravel() if d > 0.0 else None
-    left_ix = np.roll(sigma, 1, axis=1).ravel() if d > 0.0 else None
+    sigma = (np.stack([_shuffle_indices(q) for q in protocols]) + bounds[:-1, None]).ravel()
     block = np.empty((rows, length))
     block[:] = field
     new, own, right, left, work = (np.empty_like(block) for _ in range(5))
@@ -261,17 +257,13 @@ def evolve(
         norms[:] = _norms(block[:1], work[:1], cbar, p)[0]
     for t in range(t_max + 1):
         if t > 0:
-            flat = block.reshape(-1)
-            if d == 0.0:
-                _gather(flat, own_ix, new)
-            elif d == 0.5:
-                _gather(flat, right_ix, right)
-                _gather(flat, left_ix, left)
+            _gather(block.reshape(-1), sigma, new if d == 0.0 else own)
+            if d > 0.0:  # the right (c_{i+1}) and left (c_{i-1}) neighbors
+                right[:, :-1], right[:, -1] = own[:, 1:], own[:, 0]
+                left[:, 1:], left[:, 0] = own[:, :-1], own[:, -1]
+            if d == 0.5:
                 np.multiply(np.add(right, left, out=new), 0.5, out=new)
-            else:
-                _gather(flat, own_ix, own)
-                _gather(flat, right_ix, right)
-                _gather(flat, left_ix, left)
+            elif d > 0.0:
                 np.subtract(right, own, out=right)
                 np.subtract(left, own, out=left)
                 np.add(right, left, out=right)

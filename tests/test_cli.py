@@ -430,3 +430,81 @@ def test_config_sets_defaulted_and_repeatable_flags(tmp_path):
     assert ((tmp_path / "cfg" / "stopping_times.csv").read_bytes()
             == (tmp_path / "flag" / "stopping_times.csv").read_bytes())
     assert json.loads((tmp_path / "cfg" / "config.json").read_text())["lm_mode"] == "length"
+
+
+def test_collapse_refuses_diffusion_free_ensembles_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("collapse", "--n", "4", "--ratio", "9/5", "--ratio", "6/5",
+                   "--tmax-from", "369,1000", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: collapse") and "--d" in captured.err
+    assert "--pe" in captured.err
+    assert "r=" not in captured.out  # no ensemble ran
+    assert not out.exists()
+
+
+_RANGE_RUNS = {
+    "simulate": ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2"],
+    "sweep": ["sweep", "--n", "4", "--ratio", "3/2", "--ratio", "5/4"],
+    "collapse": ["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_RANGE_RUNS))
+@pytest.mark.parametrize("flags, named", [
+    (["--tmax", "20", "--d", "0.7"], "--d"),
+    (["--tmax", "20", "--d", "-0.1"], "--d"),
+    (["--tmax", "20", "--d", "nan"], "--d"),
+    (["--tmax", "-1", "--d", "0.5"], "--tmax"),
+])
+def test_out_of_range_value_names_its_flag(tmp_path, capsys, verb, flags, named):
+    out = tmp_path / "out"
+    assert run_cli(*_RANGE_RUNS[verb], *flags, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {named} must be")
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+# The second ratio's lattice (L = 4e18) fails at allocation, after the
+# first ratio's bundle is complete.
+_SWEEP_FAILING_LATE = ["sweep", "--n", "4", "--ratio", "3/2", "--ratio", "1000001/1000000",
+                       "--tmax", "2"]
+
+
+def test_sweep_failing_at_a_later_ratio_leaves_no_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*_SWEEP_FAILING_LATE, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("r=3/2:") and captured.err.startswith("error:")
+    assert not out.exists()
+    assert os.listdir(tmp_path) == []  # and no staging directory
+
+
+def test_failed_run_leaves_the_default_output_directory_empty(tmp_path):
+    src = Path(ietmix.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ietmix", *_SWEEP_FAILING_LATE], cwd=tmp_path,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 1 and proc.stderr.startswith("error:")
+    assert os.listdir(tmp_path) == []
+
+
+def test_sweep_into_an_existing_bundle_replaces_its_files(tmp_path, capsys):
+    args = ["sweep", "--n", "4", "--ratio", "3/2", "--d", "0.5", "--tmax", "30"]
+    assert run_cli(*args, "--out", str(tmp_path / "fresh")) == 0
+    out = tmp_path / "out"
+    (out / "r3_2").mkdir(parents=True)
+    for name in ("average_curves.csv", "ensemble.json"):
+        (out / "r3_2" / name).write_text("stale\n")
+    (out / "r3_2" / "notes.txt").write_text("kept\n")
+    assert run_cli(*args, "--out", str(out)) == 0
+    fresh = sorted(p.relative_to(tmp_path / "fresh") for p in (tmp_path / "fresh").rglob("*"))
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == sorted(
+        fresh + [Path("r3_2/notes.txt")])
+    for rel in fresh:
+        if (out / rel).is_file():
+            assert (out / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
+    assert (out / "r3_2" / "notes.txt").read_text() == "kept\n"

@@ -22,6 +22,7 @@ from ietmix.io import (
     export_series,
     export_steepening,
     export_table_one,
+    output_dir,
     protocol_metadata,
     write_json,
 )
@@ -290,3 +291,25 @@ def test_package_surface_is_the_documented_list():
     assert ietmix.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(ietmix, name) is not None
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+def test_output_dir_removes_its_stage_on_any_exception(tmp_path, exc):
+    with pytest.raises(exc):
+        with output_dir(tmp_path / "a" / "b") as stage:
+            assert stage.parent == tmp_path and stage.name.startswith(".ietmix-")
+            (stage / "nested").mkdir()
+            write_json(stage / "nested" / "x.json", {})
+            raise exc
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_dir_moves_nested_files_into_an_existing_directory(tmp_path):
+    (tmp_path / "old.txt").write_text("old\n")
+    with output_dir(tmp_path) as stage:
+        assert stage.parent == tmp_path
+        (stage / "nested").mkdir()
+        write_json(stage / "nested" / "x.json", {"a": 1})
+        write_json(stage / "top.json", [])
+    assert sorted(os.listdir(tmp_path)) == ["nested", "old.txt", "top.json"]
+    assert json.loads((tmp_path / "nested" / "x.json").read_text()) == {"a": 1}
