@@ -135,10 +135,11 @@ def _resolve_tmax(args, length: int) -> int:
     if args.tmax_from is not None:
         try:
             l_ref, t_ref = (int(v) for v in str(args.tmax_from).split(","))
+            if l_ref <= 0 or t_ref <= 0:
+                raise ValueError
         except ValueError:
-            raise ValueError(
-                f"--tmax-from takes L_ref,T_ref (two integers), got {args.tmax_from!r}"
-            ) from None
+            raise ValueError(f"--tmax-from takes L_ref,T_ref (two positive integers), "
+                             f"got {args.tmax_from!r}") from None
         return match_iterations(l_ref, t_ref, length)
     raise ValueError("need --tmax or --tmax-from")
 
@@ -183,7 +184,7 @@ def _cmd_simulate(args) -> int:
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
     with output_dir(args.out) as out:
-        with (contextlib.nullcontext() if args.metrics_only or fmt == "json" else
+        with (contextlib.nullcontext() if args.metrics_only else
               SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
             series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
         export_series(series.row(0), out / "series.csv")
@@ -341,6 +342,8 @@ def _cmd_stopping_time(args) -> int:
 def _cmd_table1(args) -> int:
     ratios = [_ratio(r) for r in (args.ratio or
                                   ["5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10"])]
+    if args.ref_tmax is not None and args.ref_tmax <= 0:
+        raise ValueError(f"--ref-tmax must be positive, got {args.ref_tmax}")
     ref = (_ratio(args.ref_ratio or "5/4", "--ref-ratio"),
            args.ref_tmax if args.ref_tmax is not None else 50)
     rows = table_one(ratios, n=args.n if args.n is not None else 4, reference=ref)
@@ -363,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run one protocol and export its records")
     _add_protocol_flags(s, ratio_repeats=False)
     s.add_argument("--perm", help="shuffle order, e.g. 3,1,4,2")
-    s.add_argument("--format", choices=["pgm", "csv", "json"],
-                   help="space-time output format (json skips the raster)")
+    s.add_argument("--format", choices=["pgm", "csv"],
+                   help="space-time output format (default pgm)")
     s.add_argument("--metrics-only", action="store_true",
                    help="skip the space-time raster (metric series only)")
     _add_common(s)

@@ -60,7 +60,11 @@ def output_dir(out=None):
     """
     out = Path(out or ".")
     parent = next(p for p in (out, *out.parents) if p.exists())
-    stage = Path(tempfile.mkdtemp(prefix=".ietmix-", dir=parent))
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=".ietmix-", dir=parent))
+    except OSError as exc:  # name the directory asked for, not the stage
+        raise OSError(f"cannot write to output directory {str(out)!r}: "
+                      f"{exc.strerror or exc}") from None
     try:
         yield stage
         for root, _, files in os.walk(stage):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import StabilityError
-from .metrics import MetricSeries, _make_series
+from .metrics import MetricSeries
 from .permutations import Perm, as_permutation
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
@@ -163,15 +163,6 @@ class Protocol:
         object.__setattr__(self, "t_max", int(self.t_max))
 
 
-def _shuffle_indices(protocol: Protocol) -> np.ndarray:
-    """Site-index gather map of one shuffle; cuts sit at fixed positions."""
-    lengths = subsegment_lengths(protocol.n, protocol.ratio)
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
-    return np.concatenate(
-        [np.arange(bounds[j - 1], bounds[j], dtype=np.intp) for j in protocol.permutation]
-    )
-
-
 def _gather(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
     """out[...] = flat[index] without allocating; index is always in range."""
     np.take(flat, index, out=out.reshape(-1), mode="clip")
@@ -215,11 +206,11 @@ def evolve(
     The P orders evolve as one C-contiguous (P, L) block, row k holding
     the field of permutations[k]. T = 0 is the initial field; iteration
     T shuffles and then, when D > 0, applies one diffusion sweep. The
-    shuffle is one gather from the previous block through a precomputed
-    flat index map (sigma, offset by row * L); the right and left
-    neighbors are one-column periodic shifts of the gathered block, and
-    the arithmetic is that of diffusion_step, so each row is
-    bit-identical to composing shuffle_step and diffusion_step.
+    shuffle gathers the block into own through sigma, the shuffle_step
+    of the site indices offset by row * L; the stencil of diffusion_step
+    writes from shifted slices of own back into the block (work is its
+    scratch), so each row is bit-identical to composing shuffle_step
+    and diffusion_step.
     The diagnostics of every iteration are evaluated along rows into
     (P, T_max+1) arrays, row k equal bit for bit to compute_series on
     the fields of permutations[k]. Without diffusion each state is a
@@ -242,14 +233,16 @@ def evolve(
     rows, length = len(protocols), field.size
 
     bounds = np.arange(rows + 1, dtype=np.intp) * length
-    sigma = (np.stack([_shuffle_indices(q) for q in protocols]) + bounds[:-1, None]).ravel()
+    sites, cuts = np.arange(length, dtype=np.intp), cut_positions(n, ratio)
+    sigma = (np.stack([shuffle_step(sites, cuts, q.permutation) for q in protocols])
+             + bounds[:-1, None]).ravel()
     block = np.empty((rows, length))
     block[:] = field
-    new, own, right, left, work = (np.empty_like(block) for _ in range(5))
+    own, work = np.empty_like(block), np.empty_like(block)
     starts_mask = np.empty(block.size + 1, dtype=bool)
     starts_mask[bounds] = True
 
-    cuts = np.empty((rows, t_max + 1), dtype=np.int64)
+    counts = np.empty((rows, t_max + 1), dtype=np.int64)
     longest = np.empty((rows, t_max + 1), dtype=np.int64)
     norms = np.empty((rows, t_max + 1))
     cbar = float(field.mean())
@@ -257,24 +250,28 @@ def evolve(
         norms[:] = _norms(block[:1], work[:1], cbar, p)[0]
     for t in range(t_max + 1):
         if t > 0:
-            _gather(block.reshape(-1), sigma, new if d == 0.0 else own)
-            if d > 0.0:  # the right (c_{i+1}) and left (c_{i-1}) neighbors
-                right[:, :-1], right[:, -1] = own[:, 1:], own[:, 0]
-                left[:, 1:], left[:, 0] = own[:, :-1], own[:, -1]
+            _gather(block.reshape(-1), sigma, own)
+            # c_{i+1} and c_{i-1} are shifted slices of own, closed periodically.
             if d == 0.5:
-                np.multiply(np.add(right, left, out=new), 0.5, out=new)
+                np.add(own[:, 2:], own[:, :-2], out=block[:, 1:-1])
+                np.add(own[:, 1], own[:, -1], out=block[:, 0])
+                np.add(own[:, 0], own[:, -2], out=block[:, -1])
+                np.multiply(block, 0.5, out=block)
             elif d > 0.0:
-                np.subtract(right, own, out=right)
-                np.subtract(left, own, out=left)
-                np.add(right, left, out=right)
-                np.add(own, np.multiply(right, d, out=right), out=new)
-            block, new = new, block
+                np.subtract(own[:, 1:], own[:, :-1], out=block[:, :-1])
+                np.subtract(own[:, 0], own[:, -1], out=block[:, -1])
+                np.subtract(own[:, :-1], own[:, 1:], out=work[:, 1:])
+                np.subtract(own[:, -1], own[:, 0], out=work[:, 0])
+                np.add(block, work, out=block)
+                np.add(own, np.multiply(block, d, out=block), out=block)
+            else:
+                block, own = own, block
         if observe is not None:
             observe(block)
-        cuts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
+        counts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
         if d > 0.0:
             norms[:, t] = _norms(block, work, cbar, p)
-    return _make_series(cuts, 100.0 * longest / length, norms, p, cbar)
+    return MetricSeries(counts, 100.0 * longest / length, norms, p, cbar)
 
 
 def iterate(protocol: Protocol) -> np.ndarray:

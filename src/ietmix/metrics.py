@@ -78,34 +78,27 @@ class MetricSeries:
     reference color frozen from T = 0 and reused at every iteration.
     """
 
-    t: np.ndarray
     cut_count: np.ndarray
     percent_unmixed: np.ndarray
     mixing_norm: np.ndarray
-    mean_subseg_len: np.ndarray
     p: float
     cbar: float
 
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(self.cut_count.shape[-1], dtype=np.int64)
+
+    @property
+    def mean_subseg_len(self) -> np.ndarray:
+        return 1.0 / (self.cut_count + 1.0)
+
     def __len__(self) -> int:
-        return self.t.size
+        return self.cut_count.shape[-1]
 
     def row(self, k: int) -> "MetricSeries":
         """The one-run series of order k of an ensemble."""
-        return _make_series(self.cut_count[k], self.percent_unmixed[k],
+        return MetricSeries(self.cut_count[k], self.percent_unmixed[k],
                             self.mixing_norm[k], self.p, self.cbar)
-
-
-def _make_series(cuts, unmixed, norms, p: float, cbar: float) -> MetricSeries:
-    """A MetricSeries from per-iteration metric arrays; T runs from 0."""
-    return MetricSeries(
-        t=np.arange(cuts.shape[-1], dtype=np.int64),
-        cut_count=cuts,
-        percent_unmixed=unmixed,
-        mixing_norm=norms,
-        mean_subseg_len=1.0 / (cuts + 1.0),
-        p=float(p),
-        cbar=float(cbar),
-    )
 
 
 def compute_series(fields, p: float = 2.0) -> MetricSeries:
@@ -116,10 +109,10 @@ def compute_series(fields, p: float = 2.0) -> MetricSeries:
     reference the batched kernel (lattice.evolve) is checked against.
     """
     cbar = average_color(fields[0])
-    return _make_series(
+    return MetricSeries(
         np.array([cut_count(f) for f in fields], dtype=np.int64),
         np.array([percent_unmixed(f) for f in fields]),
         np.array([mixing_norm(f, cbar, p) for f in fields]),
-        p,
+        float(p),
         cbar,
     )

@@ -16,13 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def batchelor_length(t_hat: float, pe: float) -> float:
-    """Diffusive washout scale pi * sqrt(t_hat / (2 pe)) on the unit segment."""
-    if t_hat < 0:
+def batchelor_length(t_hat: float | np.ndarray, pe: float) -> float | np.ndarray:
+    """Diffusive washout scale pi * sqrt(t_hat / (2 pe)) on the unit segment.
+
+    t_hat is one normalized time or an array of them.
+    """
+    if np.any(np.asarray(t_hat) < 0):
         raise ValueError("normalized time must be nonnegative")
     if not 0.0 < pe < math.inf:
         raise ValueError(f"Peclet number must be finite and positive, got {pe}")
-    return math.pi * math.sqrt(t_hat / (2.0 * pe))
+    return np.pi * np.sqrt(t_hat / (2.0 * pe))
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,6 @@ def solve_stopping_time(
         raise ValueError(
             f"avg_cuts must cover T = 0..{t_max}, got {cuts.size} entries"
         )
-    if not 0.0 < pe < math.inf:
-        raise ValueError(f"Peclet number must be finite and positive, got {pe}")
     if mean_lengths is None:
         lengths = 1.0 / (cuts + 1.0)
     else:
@@ -71,9 +72,7 @@ def solve_stopping_time(
         if lengths.shape != cuts.shape:
             raise ValueError("mean_lengths must match avg_cuts in shape")
 
-    t = np.arange(t_max + 1, dtype=np.float64)
-    l_star = np.pi * np.sqrt(t / t_max / (2.0 * pe))
-    g = l_star - lengths
+    g = batchelor_length(np.arange(t_max + 1) / t_max, pe) - lengths
     hits = np.flatnonzero(g[1:] >= 0.0)
     if hits.size == 0:
         return StoppingTimeSolution(found=False)

@@ -221,10 +221,10 @@ def test_stopping_time_rejects_unstable_peclet(tmp_path, capsys):
 def test_stopping_time_length_mode_differs(tmp_path, capsys):
     run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "500",
             "--pe", "8000", "--out", str(tmp_path))
-    count_rows = list(csv.reader(open(tmp_path / "stopping_times.csv", newline="")))
+    count_rows = list(csv.reader((tmp_path / "stopping_times.csv").read_text().splitlines()))
     run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "500",
             "--pe", "8000", "--lm-mode", "length", "--out", str(tmp_path))
-    length_rows = list(csv.reader(open(tmp_path / "stopping_times.csv", newline="")))
+    length_rows = list(csv.reader((tmp_path / "stopping_times.csv").read_text().splitlines()))
     assert int(length_rows[1][3]) > int(count_rows[1][3])
 
 
@@ -334,6 +334,52 @@ def test_malformed_tmax_from_names_the_flag(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: --tmax-from") and "L_ref,T_ref" in err
+
+
+@pytest.mark.parametrize("tmax_from", ["65,-5", "0,5", "65,0"])
+def test_non_positive_tmax_from_names_the_flag(tmp_path, capsys, tmax_from):
+    out = tmp_path / "out"
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2",
+                   "--tmax-from", tmax_from, "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --tmax-from") and "positive" in err and tmax_from in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ref_tmax", ["-5", "0"])
+def test_non_positive_ref_tmax_names_the_flag(tmp_path, capsys, ref_tmax):
+    out = tmp_path / "out"
+    assert run_cli("table1", "--ref-tmax", ref_tmax, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --ref-tmax") and ref_tmax in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_unwritable_out_is_reported_by_its_own_path(tmp_path, capsys):
+    (tmp_path / "plain").write_text("a regular file\n")
+    out = tmp_path / "plain" / "sub"
+    code = run_cli("simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
+                   "--tmax", "3", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err and ".ietmix-" not in err
+    assert os.listdir(tmp_path) == ["plain"]
+    assert (tmp_path / "plain").read_text() == "a regular file\n"
+
+
+def test_format_json_is_refused(tmp_path, capsys):
+    argv = ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "3"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--format", "json", "--out", str(out))
+    assert exc.value.code == 2 and "invalid choice: 'json'" in capsys.readouterr().err
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"format": "json"}))
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: config key 'format'")
+    assert not out.exists()
 
 
 def test_malformed_ratio_names_the_flag(capsys):

@@ -95,17 +95,20 @@ def test_evolve_validates_its_inputs():
         evolve(4, Ratio(3, 2), 0.0, 5, [(2, 1, 3)])
 
 
+# L = 3 and 19 at n = 2, r = 2/1 and n = 3, r = 3/2: the stencil's two
+# wrap-around columns are most of the lattice.
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
-@pytest.mark.parametrize("orders", [
-    [(2, 4, 1, 3)],
-    [(2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)],
-])
-def test_observer_sees_every_state_once_in_order(orders, d):
+@pytest.mark.parametrize("n, ratio, orders", [
+    (4, Ratio(5, 4), [(2, 4, 1, 3)]),
+    (4, Ratio(5, 4), [(2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)]),
+    (2, Ratio(2, 1), [(2, 1)]),
+    (3, Ratio(3, 2), [(3, 2, 1)]),
+], ids=["orders0", "orders1", "L3", "L19"])
+def test_observer_sees_every_state_once_in_order(n, ratio, orders, d):
     t_max = 40
     seen = []
-    evolve(4, Ratio(5, 4), d, t_max, orders, observe=lambda block: seen.append(block.copy()))
+    evolve(n, ratio, d, t_max, orders, observe=lambda block: seen.append(block.copy()))
     assert len(seen) == t_max + 1
     for k, q in enumerate(orders):
-        want = reference_fields(Protocol(n=4, ratio=Ratio(5, 4), permutation=q, d=d,
-                                         t_max=t_max))
+        want = reference_fields(Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max))
         assert np.array_equal(np.array([block[k] for block in seen]), want)
