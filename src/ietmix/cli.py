@@ -144,10 +144,16 @@ def _resolve_tmax(args, length: int) -> int:
     raise ValueError("need --tmax or --tmax-from")
 
 
+def _require_peclet_budget(t_max: int) -> None:
+    if t_max <= 0:
+        raise ValueError(f"--pe needs a positive budget (--tmax or --tmax-from), got {t_max}")
+
+
 def _resolve_d(args, length: int, t_max: int) -> float:
     if args.d is not None and args.pe is not None:
         raise ValueError("--d and --pe are mutually exclusive")
     if args.pe is not None:
+        _require_peclet_budget(t_max)
         return diffusivity_from_peclet(length, args.pe, t_max)
     if args.d is not None and not 0.0 <= args.d <= 0.5:
         raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
@@ -184,7 +190,7 @@ def _cmd_simulate(args) -> int:
     protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
     with output_dir(args.out) as out:
-        with (contextlib.nullcontext() if args.metrics_only else
+        with (contextlib.nullcontext() if fmt == "none" else
               SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
             series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
         export_series(series.row(0), out / "series.csv")
@@ -317,7 +323,11 @@ def _cmd_stopping_time(args) -> int:
     ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
+    _require_peclet_budget(t_max)
     pes = sorted(float(v) for v in args.pe)
+    for a, b in zip(pes, pes[1:]):
+        if a == b:
+            raise ValueError(f"--pe {a:g} is given more than once")
     p = _norm_order(args)
     lm_mode = args.lm_mode or "count"
     rows = steepening_report(
@@ -366,10 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run one protocol and export its records")
     _add_protocol_flags(s, ratio_repeats=False)
     s.add_argument("--perm", help="shuffle order, e.g. 3,1,4,2")
-    s.add_argument("--format", choices=["pgm", "csv"],
-                   help="space-time output format (default pgm)")
-    s.add_argument("--metrics-only", action="store_true",
-                   help="skip the space-time raster (metric series only)")
+    s.add_argument("--format", choices=["pgm", "csv", "none"],
+                   help="space-time raster format, or none for the metric series "
+                        "only (default pgm)")
     _add_common(s)
     s.set_defaults(func=_cmd_simulate)
 

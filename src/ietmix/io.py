@@ -94,66 +94,49 @@ def export_series(series: MetricSeries, path) -> Path:
     ))
 
 
-#: Rows of a space-time raster are written in chunks of about this size.
-_CHUNK_BYTES = 1 << 20
-
-
 class SpaceTimeWriter:
     """A space-time raster streamed to disk, one row per iteration, T = 0 first.
 
     Called with a 2-D block of rows, as lattice.evolve calls its
-    observer, it copies them into a buffer of about 1 MB and writes each
-    full buffer as one chunk, so memory stays O(L) however long the run.
-    pgm is binary P5 with colors mapped [0, 1] -> 0..255, its header
-    written from the declared (rows, width) shape; csv is the raw float
-    matrix. Use as a context manager: entering opens the file, and
-    leaving the block without an error writes the last rows and checks
-    that exactly the declared rows arrived.
+    observer, it writes them straight to the open file, so memory stays
+    O(L) however long the run. pgm is binary P5 with colors mapped
+    [0, 1] -> 0..255, its header written from the declared (rows, width)
+    shape; csv is the raw float matrix, the text np.savetxt writes with
+    fmt="%.17g". Use as a context manager: entering opens the file, and
+    leaving the block without an error checks that exactly the declared
+    rows arrived.
     """
 
     def __init__(self, path, shape: tuple[int, int], format: str = "pgm"):
         if format not in ("pgm", "csv"):
             raise ValueError(f"unknown space-time format {format!r}; use pgm or csv")
         self.path, self.format = Path(path), format
-        self.rows, width = shape
-        self._chunk = np.empty((max(1, _CHUNK_BYTES // (8 * width)), width))
-        self._filled = self._written = 0
+        self.rows, self.width = shape
+        self._csv_row = ",".join(["%.17g"] * self.width) + "\n"
+        self._written = 0
 
     def __call__(self, block) -> None:
         block = np.asarray(block)
-        while block.shape[0]:
-            k = min(block.shape[0], self._chunk.shape[0] - self._filled)
-            self._chunk[self._filled:self._filled + k] = block[:k]
-            self._filled += k
-            block = block[k:]
-            if self._filled == self._chunk.shape[0]:
-                self._flush()
-
-    def _flush(self) -> None:
-        chunk = self._chunk[:self._filled]
-        self._written += self._filled
-        self._filled = 0
+        self._written += block.shape[0]
         if self._written > self.rows:
             raise ValueError(f"space-time raster declared {self.rows} rows, got more")
         if self.format == "pgm":
-            self._fh.write(np.clip(np.rint(chunk * 255.0), 0, 255).astype(np.uint8).tobytes())
+            self._fh.write(np.rint(block * 255.0).clip(0, 255).astype(np.uint8).tobytes())
         else:
-            np.savetxt(self._fh, chunk, delimiter=",", fmt="%.17g")
+            self._fh.write("".join(self._csv_row % tuple(row) for row in block.tolist())
+                           .encode("ascii"))
 
     def __enter__(self) -> "SpaceTimeWriter":
         self._fh = open(self.path, "wb")
         if self.format == "pgm":
-            self._fh.write(f"P5\n{self._chunk.shape[1]} {self.rows}\n255\n".encode("ascii"))
+            self._fh.write(f"P5\n{self.width} {self.rows}\n255\n".encode("ascii"))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            if exc_type is None:
-                self._flush()
-                if self._written != self.rows:
-                    raise ValueError(
-                        f"space-time raster declared {self.rows} rows, got {self._written}"
-                    )
+            if exc_type is None and self._written != self.rows:
+                raise ValueError(f"space-time raster declared {self.rows} rows, "
+                                 f"got {self._written}")
         finally:
             self._fh.close()
 

@@ -64,19 +64,19 @@ def test_simulate_writes_series_raster_metadata(tmp_path, capsys):
     assert float(rows[3][2]) == pytest.approx(300.0 / 13)
 
 
-def test_simulate_metrics_only_skips_raster(tmp_path):
-    run_cli(
+def test_simulate_format_none_skips_raster(tmp_path):
+    code = run_cli(
         "simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
-        "--tmax", "3", "--metrics-only", "--out", str(tmp_path),
+        "--tmax", "3", "--format", "none", "--out", str(tmp_path),
     )
-    assert (tmp_path / "series.csv").exists()
-    assert not (tmp_path / "spacetime.pgm").exists()
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["metadata.json", "series.csv"]
 
 
 def test_simulate_resolves_peclet_to_diffusivity(tmp_path):
     run_cli(
         "simulate", "--n", "4", "--ratio", "6/5", "--perm", "2,4,1,3",
-        "--tmax", "500", "--pe", "2000", "--metrics-only", "--out", str(tmp_path),
+        "--tmax", "500", "--pe", "2000", "--format", "none", "--out", str(tmp_path),
     )
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["d"] == pytest.approx(0.450241)
@@ -86,7 +86,7 @@ def test_simulate_resolves_peclet_to_diffusivity(tmp_path):
 def test_simulate_tmax_from_reference(tmp_path):
     run_cli(
         "simulate", "--n", "4", "--ratio", "6/5", "--perm", "2,4,1,3",
-        "--tmax-from", "369,50", "--metrics-only", "--out", str(tmp_path),
+        "--tmax-from", "369,50", "--format", "none", "--out", str(tmp_path),
     )
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["tmax"] == 166
@@ -110,7 +110,7 @@ def test_missing_tmax_exits_nonzero(capsys):
 def test_fit_verb_on_simulated_series(tmp_path, capsys):
     run_cli(
         "simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
-        "--tmax", "150", "--d", "0.5", "--metrics-only", "--out", str(tmp_path),
+        "--tmax", "150", "--d", "0.5", "--format", "none", "--out", str(tmp_path),
     )
     capsys.readouterr()
     code = run_cli("fit", "--series", str(tmp_path / "series.csv"),
@@ -140,7 +140,7 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
 @pytest.mark.parametrize("m", ["nan", "inf", "0"])
 def test_fit_rejects_bad_initial_value_naming_the_flag(tmp_path, capsys, m):
     run_cli("simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
-            "--tmax", "20", "--d", "0.5", "--metrics-only", "--out", str(tmp_path))
+            "--tmax", "20", "--d", "0.5", "--format", "none", "--out", str(tmp_path))
     capsys.readouterr()
     out = tmp_path / "fit"
     assert run_cli("fit", "--series", str(tmp_path / "series.csv"), "--m", m,
@@ -230,10 +230,10 @@ def test_stopping_time_length_mode_differs(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path):
     cfg = {"n": 4, "ratio": "3/2", "perm": "3,1,4,2", "tmax": 2,
-           "metrics_only": None}
+           "format": None}
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps(cfg))
-    code = run_cli("simulate", "--config", str(cfg_path), "--metrics-only",
+    code = run_cli("simulate", "--config", str(cfg_path), "--format", "none",
                    "--out", str(tmp_path))
     assert code == 0
     meta = json.loads((tmp_path / "metadata.json").read_text())
@@ -244,7 +244,7 @@ def test_explicit_flag_beats_config(tmp_path):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"tmax": 9}))
     run_cli("simulate", "--config", str(cfg_path), "--n", "4", "--ratio", "3/2",
-            "--perm", "3,1,4,2", "--tmax", "4", "--metrics-only",
+            "--perm", "3,1,4,2", "--tmax", "4", "--format", "none",
             "--out", str(tmp_path))
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["tmax"] == 4
@@ -262,12 +262,29 @@ def test_module_entry_point():
 def test_config_values_are_converted_like_flag_text(tmp_path):
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"n": "4", "ratio": "3/2", "perm": "3,1,4,2",
-                                    "tmax": "2", "d": 0, "metrics_only": True}))
+                                    "tmax": "2", "d": 0, "format": "none"}))
     code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path))
     assert code == 0
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["n"] == 4 and meta["tmax"] == 2 and meta["d"] == 0.0
     assert not (tmp_path / "spacetime.pgm").exists()
+
+
+@pytest.mark.parametrize("value, code", [(True, 0), (False, 0), ("yes", 1)])
+def test_config_switch_takes_true_or_false(tmp_path, capsys, value, code):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"n": 4, "ratio": "3/2", "tmax": 200, "pe": [50],
+                                    "steepening": value}))
+    out = tmp_path / "out"
+    assert run_cli("stopping-time", "--config", str(cfg_path), "--out", str(out)) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads((out / "config.json").read_text())["steepening"] is value
+        assert ("max_slope=" in captured.out) is value
+    else:
+        assert captured.err.startswith(
+            "error: config key 'steepening': expected true or false")
+        assert not out.exists()
 
 
 def test_config_value_of_wrong_type_is_rejected(tmp_path, capsys):
@@ -379,6 +396,21 @@ def test_format_json_is_refused(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"format": "json"}))
     assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
     assert capsys.readouterr().err.startswith("error: config key 'format'")
+    assert not out.exists()
+
+
+def test_metrics_only_is_refused(tmp_path, capsys):
+    argv = ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "3"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--metrics-only", "--out", str(out))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --metrics-only" in capsys.readouterr().err
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"metrics_only": True}))
+    assert run_cli(*argv, "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config key 'metrics_only'" in err
     assert not out.exists()
 
 
@@ -554,3 +586,30 @@ def test_sweep_into_an_existing_bundle_replaces_its_files(tmp_path, capsys):
         if (out / rel).is_file():
             assert (out / rel).read_bytes() == (tmp_path / "fresh" / rel).read_bytes()
     assert (out / "r3_2" / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2"],
+    ["sweep", "--n", "4", "--ratio", "3/2"],
+    ["collapse", "--n", "4", "--ratio", "3/2"],
+    ["stopping-time", "--n", "4", "--ratio", "3/2"],
+], ids=lambda argv: argv[0])
+def test_peclet_with_a_zero_budget_names_the_flags(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--tmax", "0", "--pe", "100", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --pe needs a positive budget")
+    assert "--tmax or --tmax-from" in captured.err
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+def test_repeated_peclet_is_refused_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "50",
+                   "--pe", "100", "--pe", "1e2", "--steepening", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --pe 100 is given more than once\n"
+    assert captured.out == ""
+    assert not out.exists()

@@ -88,13 +88,22 @@ def test_spacetime_writer_refuses_a_wrong_row_count(tmp_path, rows):
             write(block)
 
 
-def test_spacetime_writer_chunks_keep_the_rows_in_order(tmp_path):
-    # Rows of 200,000 sites fill a 1 MB chunk one at a time.
-    fields = np.linspace(0.0, 1.0, 3 * 200_000).reshape(3, 200_000)
-    with SpaceTimeWriter(tmp_path / "x.csv", fields.shape, "csv") as write:
+@pytest.mark.parametrize("format", ["pgm", "csv"])
+def test_spacetime_writer_keeps_the_rows_in_order(tmp_path, format):
+    # Rows written one call at a time land in the file as one matrix,
+    # the bytes the whole matrix gets in a single call.
+    fields = np.linspace(0.0, 1.0, 3 * 2_000).reshape(3, 2_000)
+    path = tmp_path / f"x.{format}"
+    with SpaceTimeWriter(path, fields.shape, format) as write:
         for row in fields:
             write(row[None])
-    assert np.array_equal(np.loadtxt(tmp_path / "x.csv", delimiter=","), fields)
+    assert path.read_bytes() == write_raster(fields, tmp_path / f"all.{format}",
+                                             format).read_bytes()
+    if format == "csv":
+        assert np.array_equal(np.loadtxt(path, delimiter=","), fields)
+    else:
+        body = np.frombuffer(path.read_bytes()[-fields.size:], dtype=np.uint8)
+        assert np.array_equal(body.reshape(fields.shape), np.rint(fields * 255))
 
 
 def test_metadata_contents(tmp_path):
@@ -220,9 +229,9 @@ def test_table1_csv_bytes_unchanged(tmp_path):
     }
 
 
-# A diffusive raster of 121 rows of L = 1484 sites: 1.4 MB of float64,
-# more than one 1 MB chunk of the streaming writer. Hashes taken from
-# the command line when it still held the whole history in memory.
+# A diffusive raster of 121 rows of L = 1484 sites, streamed row by row
+# to the file. Hashes taken from the command line when it still held the
+# whole history in memory.
 RASTER = ["simulate", "--n", "4", "--ratio", "9/5", "--perm", "3,1,4,2", "--d", "0.3",
           "--tmax", "120"]
 RASTER_SIDECARS = {
