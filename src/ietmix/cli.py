@@ -144,6 +144,17 @@ def _resolve_tmax(args, length: int) -> int:
     raise ValueError("need --tmax or --tmax-from")
 
 
+def _peclet(value) -> float:
+    """A --pe value; a refusal names the flag."""
+    try:
+        pe = float(value)
+    except ValueError:
+        raise ValueError(f"--pe must be a number, got {value!r}") from None
+    if not 0.0 < pe < math.inf:
+        raise ValueError(f"--pe must be finite and positive, got {pe:g}")
+    return pe
+
+
 def _require_peclet_budget(t_max: int) -> None:
     if t_max <= 0:
         raise ValueError(f"--pe needs a positive budget (--tmax or --tmax-from), got {t_max}")
@@ -153,8 +164,9 @@ def _resolve_d(args, length: int, t_max: int) -> float:
     if args.d is not None and args.pe is not None:
         raise ValueError("--d and --pe are mutually exclusive")
     if args.pe is not None:
+        pe = _peclet(args.pe)
         _require_peclet_budget(t_max)
-        return diffusivity_from_peclet(length, args.pe, t_max)
+        return diffusivity_from_peclet(length, pe, t_max)
     if args.d is not None and not 0.0 <= args.d <= 0.5:
         raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
     return args.d if args.d is not None else 0.0
@@ -218,14 +230,18 @@ def _cmd_list_permutations(args) -> int:
 def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
     """(ratio, L, t_max, D) of every --ratio, all checked before any run.
 
-    A diffusive ensemble is fitted, so its budget must give the samples
-    a fit needs.
+    A ratio may be given once, in any of its forms (3/2 or 6/4). A
+    diffusive ensemble is fitted, so its budget must give the samples a
+    fit needs.
     """
     if not args.ratio:
         raise ValueError("need at least one --ratio")
+    ratios = [_ratio(raw) for raw in args.ratio]
+    for k, ratio in enumerate(ratios):
+        if ratio in ratios[:k]:
+            raise ValueError(f"--ratio {ratio} is given more than once")
     runs = []
-    for raw in args.ratio:
-        ratio = _ratio(raw)
+    for ratio in ratios:
         length = total_length(args.n, ratio)
         t_max = _resolve_tmax(args, length)
         d = _resolve_d(args, length, t_max)
@@ -302,7 +318,7 @@ def _cmd_collapse(args) -> int:
         raise ValueError("collapse fits diffusive ensembles only: give --d > 0 or --pe")
     ensembles = []
     for ratio, length, t_max, d in runs:
-        ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p))
+        ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p, runs=False))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
     cr = collapse(ensembles, grid_points=grid_points, grid_max=grid_max)
     payload = {
@@ -324,7 +340,7 @@ def _cmd_stopping_time(args) -> int:
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
     _require_peclet_budget(t_max)
-    pes = sorted(float(v) for v in args.pe)
+    pes = sorted(_peclet(v) for v in args.pe)
     for a, b in zip(pes, pes[1:]):
         if a == b:
             raise ValueError(f"--pe {a:g} is given more than once")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffusion import StabilityError
-from .metrics import MetricSeries
+from .metrics import MetricSeries, mixing_norm
 from .permutations import Perm, as_permutation
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
@@ -197,57 +197,75 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
     return [s ** (1.0 / p) for s in (powed.sum(axis=1) / block.shape[1]).tolist()]
 
 
+def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations) -> list[Protocol]:
+    """The checked protocol of every order of one (N, r, D, T_max) family."""
+    protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
+                 for q in permutations]
+    if not protocols:
+        raise ValueError("ensemble needs at least one permutation")
+    return protocols
+
+
+def _shuffle_map(n: int, ratio: Ratio, protocols) -> np.ndarray:
+    """sigma, the flat index map of one shuffle of every order's row.
+
+    Row k is shuffle_step of the site indices 0..L-1 with order k,
+    offset by k * L, so block.ravel()[sigma] shuffles every row of a
+    C-contiguous (P, L) block at once.
+    """
+    sites, cuts = np.arange(total_length(n, ratio), dtype=np.intp), cut_positions(n, ratio)
+    return np.concatenate([shuffle_step(sites, cuts, q.permutation) + k * sites.size
+                           for k, q in enumerate(protocols)])
+
+
 def evolve(
     n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
-    observe=None,
+    observe=None, runs: bool = True,
 ) -> MetricSeries:
     """Run every shuffle order of one (N, r, D, T_max) family at once.
 
     The P orders evolve as one C-contiguous (P, L) block, row k holding
     the field of permutations[k]. T = 0 is the initial field; iteration
     T shuffles and then, when D > 0, applies one diffusion sweep. The
-    shuffle gathers the block into own through sigma, the shuffle_step
-    of the site indices offset by row * L; the stencil of diffusion_step
-    writes from shifted slices of own back into the block (work is its
-    scratch), so each row is bit-identical to composing shuffle_step
-    and diffusion_step.
+    shuffle gathers the block into own through _shuffle_map; the stencil
+    of diffusion_step writes from shifted slices of own back into the
+    block (work is its scratch), so each row is bit-identical to
+    composing shuffle_step and diffusion_step.
     The diagnostics of every iteration are evaluated along rows into
     (P, T_max+1) arrays, row k equal bit for bit to compute_series on
     the fields of permutations[k]. Without diffusion each state is a
     permutation of the initial field, and the norm sums sorted
-    deviations, so the norm is evaluated once at T = 0.
+    deviations, so the norm is evaluated once at T = 0. With runs=False
+    the run scan is skipped and cut_count and percent_unmixed are None.
 
     observe, when given, is called with the (P, L) block after every
     iteration, T = 0 first, once all buffers are allocated. The block is
     a buffer the kernel reuses, so an observer copies whatever it keeps.
     Returns one MetricSeries at norm order p holding those arrays.
     """
-    protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
-                 for q in permutations]
-    if not protocols:
-        raise ValueError("ensemble needs at least one permutation")
+    protocols = _orders(n, ratio, d, t_max, permutations)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be a finite p >= 1, got {p}")
     d, t_max, p = protocols[0].d, protocols[0].t_max, float(p)
     field = initial_field(n, ratio)
     rows, length = len(protocols), field.size
 
-    bounds = np.arange(rows + 1, dtype=np.intp) * length
-    sites, cuts = np.arange(length, dtype=np.intp), cut_positions(n, ratio)
-    sigma = (np.stack([shuffle_step(sites, cuts, q.permutation) for q in protocols])
-             + bounds[:-1, None]).ravel()
+    sigma = _shuffle_map(n, ratio, protocols)
     block = np.empty((rows, length))
     block[:] = field
     own, work = np.empty_like(block), np.empty_like(block)
-    starts_mask = np.empty(block.size + 1, dtype=bool)
-    starts_mask[bounds] = True
+    counts = longest = None
+    if runs:
+        bounds = np.arange(rows + 1, dtype=np.intp) * length
+        starts_mask = np.empty(block.size + 1, dtype=bool)
+        starts_mask[bounds] = True
+        counts = np.empty((rows, t_max + 1), dtype=np.int64)
+        longest = np.empty((rows, t_max + 1), dtype=np.int64)
 
-    counts = np.empty((rows, t_max + 1), dtype=np.int64)
-    longest = np.empty((rows, t_max + 1), dtype=np.int64)
     norms = np.empty((rows, t_max + 1))
     cbar = float(field.mean())
     if d == 0.0:
-        norms[:] = _norms(block[:1], work[:1], cbar, p)[0]
+        norms[:] = mixing_norm(field, cbar, p)
     for t in range(t_max + 1):
         if t > 0:
             _gather(block.reshape(-1), sigma, own)
@@ -268,10 +286,54 @@ def evolve(
                 block, own = own, block
         if observe is not None:
             observe(block)
-        counts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
+        if runs:
+            counts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
         if d > 0.0:
             norms[:, t] = _norms(block, work, cbar, p)
-    return MetricSeries(counts, 100.0 * longest / length, norms, p, cbar)
+    return MetricSeries(counts, None if longest is None else 100.0 * longest / length,
+                        norms, p, cbar)
+
+
+def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
+    """Diffusion-free cut count of every order, as a (P, t_max+1) int64 array.
+
+    Equal to evolve(n, ratio, 0.0, t_max, permutations).cut_count, at a
+    cost of O(N) per order and iteration instead of O(L). An interface
+    inside a piece moves with that piece, so a shuffle destroys only the
+    N-1 site pairs across the cuts, and makes one pair at each of the
+    N-1 seams of the new order, where the end of piece q[k-1] meets the
+    start of piece q[k]: C(T+1) = C(T) - lost(T) + made(T). Both terms
+    read the colors at the 2N piece-end sites. Site x holds at T what
+    sat at sigma^T(x) at T = 0 (sigma from _shuffle_map), and pieces
+    start with distinct colors, so each end's orbit is followed step by
+    step and only the piece it reaches is kept, one int8 per end and
+    iteration.
+    """
+    protocols = _orders(n, ratio, 0.0, t_max, permutations)
+    t_max, rows = protocols[0].t_max, len(protocols)
+    lengths = subsegment_lengths(n, ratio)
+    sigma = _shuffle_map(n, ratio, protocols)
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    # Ends 0..N-1 are the first sites of the pieces, N..2N-1 their last.
+    ends = np.concatenate((bounds[:-1], bounds[1:] - 1))
+    pos = (ends + np.arange(rows)[:, None] * bounds[-1]).ravel()
+    piece = np.tile(np.repeat(np.arange(n, dtype=np.int8), lengths), rows)
+    history = np.empty((t_max, rows, 2 * n), dtype=np.int8)
+    for labels in history.reshape(t_max, rows * 2 * n):
+        piece.take(pos, out=labels)
+        pos = sigma[pos]
+    first, last = history[:, :, :n], history[:, :, n:]
+    order = np.array([q.permutation for q in protocols], dtype=np.intp) - 1
+    row = np.arange(rows)[:, None]
+    # made - lost lies in [1-N, N-1], so it is summed in int8.
+    change = np.sum(last[:, row, order[:, :-1]] != first[:, row, order[:, 1:]],
+                    axis=2, dtype=np.int8)
+    change -= np.sum(last[:, :, :-1] != first[:, :, 1:], axis=2, dtype=np.int8)
+    counts = np.empty((rows, t_max + 1), dtype=np.int64)
+    counts[:, 0] = n - 1  # the initial field changes color at every cut
+    np.cumsum(change.T, axis=1, dtype=np.int64, out=counts[:, 1:])
+    counts[:, 1:] += n - 1
+    return counts
 
 
 def iterate(protocol: Protocol) -> np.ndarray:

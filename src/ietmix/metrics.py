@@ -74,26 +74,28 @@ class MetricSeries:
     ensemble of P shuffle orders, row k holding order k; t is always
     the (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely
     on exact-equality runs of values, so they are faithful striation
-    diagnostics only for diffusion-free (D = 0) dynamics. cbar is the
-    reference color frozen from T = 0 and reused at every iteration.
+    diagnostics only for diffusion-free (D = 0) dynamics. A run metric
+    that was not computed is None, and so is mean_subseg_len without
+    cut_count. cbar is the reference color frozen from T = 0 and reused
+    at every iteration.
     """
 
-    cut_count: np.ndarray
-    percent_unmixed: np.ndarray
+    cut_count: np.ndarray | None
+    percent_unmixed: np.ndarray | None
     mixing_norm: np.ndarray
     p: float
     cbar: float
 
     @property
     def t(self) -> np.ndarray:
-        return np.arange(self.cut_count.shape[-1], dtype=np.int64)
+        return np.arange(len(self), dtype=np.int64)
 
     @property
-    def mean_subseg_len(self) -> np.ndarray:
-        return 1.0 / (self.cut_count + 1.0)
+    def mean_subseg_len(self) -> np.ndarray | None:
+        return None if self.cut_count is None else 1.0 / (self.cut_count + 1.0)
 
     def __len__(self) -> int:
-        return self.cut_count.shape[-1]
+        return self.mixing_norm.shape[-1]
 
     def row(self, k: int) -> "MetricSeries":
         """The one-run series of order k of an ensemble."""

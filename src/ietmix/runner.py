@@ -16,8 +16,8 @@ import numpy as np
 
 from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
-from .lattice import Ratio, evolve, total_length
-from .metrics import MetricSeries
+from .lattice import Ratio, cut_counts, evolve, initial_field, total_length
+from .metrics import MetricSeries, mixing_norm
 from .permutations import Perm, enumerate_allowed
 from .stopping import StoppingTimeSolution, solve_stopping_time
 
@@ -27,6 +27,8 @@ class EnsembleResult:
     """Averaged mixing behavior of one protocol family across shuffle orders.
 
     series holds the (P, T+1) metric arrays, row k for permutations[k].
+    An ensemble run without its run metrics has avg_cut and avg_subseg
+    None, and a diffusion-free one carries no percent_unmixed.
     """
 
     n: int
@@ -37,19 +39,25 @@ class EnsembleResult:
     permutations: tuple[Perm, ...]
     series: MetricSeries
     avg_norm: np.ndarray
-    avg_cut: np.ndarray
-    avg_subseg: np.ndarray
+    avg_cut: np.ndarray | None
+    avg_subseg: np.ndarray | None
     m: float
     fit: FitResult | None
     t_pe: float | None
 
 
 def run_ensemble(
-    n: int, ratio: Ratio, d: float, t_max: int, permutations=None, p: float = 2.0
+    n: int, ratio: Ratio, d: float, t_max: int, permutations=None, p: float = 2.0,
+    runs: bool = True,
 ) -> EnsembleResult:
     """Simulate every shuffle order and average the metric curves.
 
-    All orders evolve together as one batched block (lattice.evolve).
+    Diffusive orders evolve together as one batched block
+    (lattice.evolve). Without diffusion every state is a permutation of
+    the initial field, so every norm keeps its T = 0 value, and the cut
+    counts come from lattice.cut_counts, which follows only the piece
+    ends. runs=False leaves the cut counts and runs out of the series,
+    and evolve skips its run scan.
     Averages are arithmetic means at each iteration, accumulated in the
     listed order, so results are bit-reproducible. For diffusive runs
     the averaged norm is fitted and the e-folding scale attached;
@@ -59,7 +67,14 @@ def run_ensemble(
     if permutations is None:
         permutations = enumerate_allowed(n)
     perms = tuple(tuple(int(v) for v in q) for q in permutations)
-    series = evolve(n, ratio, d, t_max, perms, p=p)
+    if d == 0.0:
+        counts = cut_counts(n, ratio, t_max, perms)  # also checks the orders
+        field = initial_field(n, ratio)
+        cbar = float(field.mean())
+        norms = np.full(counts.shape, mixing_norm(field, cbar, p))
+        series = MetricSeries(counts if runs else None, None, norms, float(p), cbar)
+    else:
+        series = evolve(n, ratio, d, t_max, perms, p=p, runs=runs)
     avg_norm = series.mixing_norm.mean(axis=0)
     m = float(avg_norm[0])
     fit = None
@@ -77,8 +92,8 @@ def run_ensemble(
         permutations=perms,
         series=series,
         avg_norm=avg_norm,
-        avg_cut=series.cut_count.mean(axis=0),
-        avg_subseg=series.mean_subseg_len.mean(axis=0),
+        avg_cut=None if series.cut_count is None else series.cut_count.mean(axis=0),
+        avg_subseg=None if series.cut_count is None else series.mean_subseg_len.mean(axis=0),
         m=m,
         fit=fit,
         t_pe=t_pe,
@@ -175,7 +190,7 @@ def steepening_report(
         sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
         max_slope = None
         if max_slopes and sol.found:
-            series = evolve(n, ratio, d, t_max, base.permutations, p=p)
+            series = evolve(n, ratio, d, t_max, base.permutations, p=p, runs=False)
             avg_norm = series.mixing_norm.mean(axis=0)
             drop = np.abs(np.diff(avg_norm / float(avg_norm[0])))
             max_slope = float(drop.max()) * sol.interpolated

@@ -341,7 +341,7 @@ def test_stopping_time_rejects_non_finite_peclet(tmp_path, capsys):
     code = run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "50",
                    "--pe", "nan", "--out", str(out))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: Peclet number")
+    assert capsys.readouterr().err == "error: --pe must be finite and positive, got nan\n"
     assert not out.exists()
 
 
@@ -611,5 +611,46 @@ def test_repeated_peclet_is_refused_before_any_run(tmp_path, capsys):
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "error: --pe 100 is given more than once\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+_PECLET_RUNS = {
+    "simulate": ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2"],
+    "sweep": ["sweep", "--n", "4", "--ratio", "3/2", "--ratio", "5/4"],
+    "collapse": ["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4"],
+    "stopping-time": ["stopping-time", "--n", "4", "--ratio", "3/2", "--steepening"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_PECLET_RUNS))
+@pytest.mark.parametrize("pe, shown", [("-1", "-1"), ("0", "0"), ("inf", "inf")])
+def test_non_positive_peclet_names_the_flag(tmp_path, capsys, verb, pe, shown):
+    out = tmp_path / "out"
+    assert run_cli(*_PECLET_RUNS[verb], "--tmax", "200", "--pe", pe, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --pe must be finite and positive, got {shown}\n"
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+def test_non_numeric_peclet_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+                   "--pe", "50", "--pe", "abc", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --pe must be a number, got 'abc'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["sweep", "collapse"])
+@pytest.mark.parametrize("second", ["3/2", "6/4"])
+def test_repeated_ratio_is_refused_before_any_run(tmp_path, capsys, verb, second):
+    out = tmp_path / "out"
+    code = run_cli(verb, "--n", "4", "--ratio", "3/2", "--ratio", "5/4", "--ratio", second,
+                   "--d", "0.5", "--tmax", "20", "--out", str(out))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --ratio 3/2 is given more than once\n"
     assert captured.out == ""
     assert not out.exists()

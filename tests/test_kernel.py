@@ -3,16 +3,23 @@
 lattice.evolve runs every shuffle order of an ensemble as one block.
 Here each order is re-run on its own by composing shuffle_step and
 diffusion_step, scored field by field with compute_series, and the two
-must agree bit for bit, averages included.
+must agree bit for bit, averages included. lattice.cut_counts, the
+diffusion-free cut counts that follow only the piece ends, must agree
+bit for bit with the kernel's.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ietmix.diffusion import diffusion_step
 from ietmix.lattice import (
     Protocol,
     Ratio,
+    cut_counts,
     cut_positions,
     evolve,
     initial_field,
@@ -20,6 +27,7 @@ from ietmix.lattice import (
     shuffle_step,
 )
 from ietmix.metrics import compute_series
+from ietmix.permutations import enumerate_allowed
 from ietmix.runner import run_ensemble
 
 METRICS = ("cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len")
@@ -57,23 +65,100 @@ def assert_same_series(got, want):
     (4, Ratio(13, 10), 40),
 ])
 def test_ensemble_matches_the_reference_path(n, ratio, t_max, d, p):
-    ens = run_ensemble(n, ratio, d, t_max, p=p)
+    orders = enumerate_allowed(n)
     want = [
         compute_series(reference_fields(
             Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)), p)
-        for q in ens.permutations
+        for q in orders
     ]
-    got = ens.series
+    got = evolve(n, ratio, d, t_max, orders, p=p)
     assert np.array_equal(got.t, want[0].t)
     assert (got.p, got.cbar) == (want[0].p, want[0].cbar)
     for name in METRICS:
         assert getattr(got, name).shape == (len(want), t_max + 1), name
         for k, ref in enumerate(want):
             assert np.array_equal(getattr(got, name)[k], getattr(ref, name)), (name, k)
+
+    # Without diffusion the ensemble takes its cut counts from cut_counts
+    # and carries no percent unmixed.
+    ens = run_ensemble(n, ratio, d, t_max, p=p)
+    assert ens.permutations == tuple(orders)
+    assert (ens.series.p, ens.series.cbar) == (got.p, got.cbar)
+    carried = METRICS if d > 0.0 else tuple(m for m in METRICS if m != "percent_unmixed")
+    for name in carried:
+        assert np.array_equal(getattr(ens.series, name), getattr(got, name)), name
+    if d == 0.0:
+        assert ens.series.percent_unmixed is None
     assert np.array_equal(ens.avg_norm, np.mean([s.mixing_norm for s in want], axis=0))
     assert np.array_equal(ens.avg_cut, np.mean([s.cut_count for s in want], axis=0))
     assert np.array_equal(ens.avg_subseg,
                           np.mean([s.mean_subseg_len for s in want], axis=0))
+
+
+@pytest.mark.parametrize("d", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_skipping_the_run_scan_keeps_the_norms(d, p):
+    orders = enumerate_allowed(4)
+    full = evolve(4, Ratio(9, 5), d, 60, orders, p=p)
+    bare = evolve(4, Ratio(9, 5), d, 60, orders, p=p, runs=False)
+    assert bare.cut_count is None and bare.percent_unmixed is None
+    assert bare.mean_subseg_len is None
+    assert np.array_equal(bare.mixing_norm, full.mixing_norm)
+    assert (bare.p, bare.cbar) == (full.p, full.cbar)
+    ens = run_ensemble(4, Ratio(9, 5), d, 60, p=p, runs=False)
+    assert ens.avg_cut is None and ens.avg_subseg is None
+    assert np.array_equal(ens.series.mixing_norm, full.mixing_norm)
+
+
+# Every order of n = 2..5, reducible ones and the identity included, at
+# T = 0, 1, 7 and 200, checked against the prefixes of one dense run.
+# At n = 5 and r = 13/10 (120 orders, L = 90,431) one dense float array
+# of all orders takes 87 MB, and 200 dense iterations of them about 5 s,
+# so the dense run there goes to T = 7 in blocks of 30 orders, and to
+# T = 200 for every tenth order.
+@pytest.mark.parametrize("ratio", [Ratio(2, 1), Ratio(3, 2), Ratio(9, 5), Ratio(13, 10)],
+                         ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cut_counts_match_the_dense_kernel(n, ratio):
+    orders = list(itertools.permutations(range(1, n + 1)))
+    if (n, ratio) == (5, Ratio(13, 10)):
+        blocks = [(orders[k:k + 30], 7) for k in range(0, len(orders), 30)]
+        blocks.append((orders[::10], 200))
+    else:
+        blocks = [(orders, 200)]
+    for block, top in blocks:
+        dense = evolve(n, ratio, 0.0, top, block).cut_count
+        for t_max in (0, 1, 7, 200):
+            if t_max <= top:
+                got = cut_counts(n, ratio, t_max, block)
+                assert got.dtype == np.int64 and got.shape == (len(block), t_max + 1)
+                assert np.array_equal(got, dense[:, :t_max + 1]), t_max
+
+
+@st.composite
+def _families(draw):
+    n = draw(st.integers(2, 5))
+    den = draw(st.integers(1, 4))
+    num = draw(st.integers(den + 1, 2 * den + 1))
+    orders = draw(st.lists(st.permutations(range(1, n + 1)), min_size=1, max_size=4))
+    return n, Ratio(num, den), orders, draw(st.integers(0, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families())
+def test_cut_counts_match_the_dense_kernel_on_random_families(family):
+    n, ratio, orders, t_max = family
+    assert np.array_equal(cut_counts(n, ratio, t_max, orders),
+                          evolve(n, ratio, 0.0, t_max, orders).cut_count)
+
+
+def test_cut_counts_validate_their_inputs():
+    with pytest.raises(ValueError):
+        cut_counts(4, Ratio(3, 2), 5, [])
+    with pytest.raises(ValueError):
+        cut_counts(4, Ratio(3, 2), 5, [(2, 1, 3)])
+    with pytest.raises(ValueError):
+        cut_counts(4, Ratio(3, 2), -1, [(3, 1, 4, 2)])
 
 
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
