@@ -104,7 +104,10 @@ def _merge_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # also a file that is not UTF-8 text
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
     for key, value in cfg.items():
@@ -115,6 +118,15 @@ def _merge_config(args: argparse.Namespace) -> None:
         # Value flags default to None and switches to False: both mean unset.
         if value is not None and (current is None or current is False):
             setattr(args, key, _config_value(action, key, value))
+
+
+def _check_shared_flags(args) -> None:
+    """Refuse an out-of-range --n or --p, in whichever verb takes it."""
+    n, p = getattr(args, "n", None), getattr(args, "p", None)
+    if n is not None and not 2 <= n <= 9:
+        raise ValueError(f"--n must be an integer in 2..9, got {n}")
+    if p is not None and not 1.0 <= p < math.inf:
+        raise ValueError(f"--p must be a finite number >= 1, got {p:g}")
 
 
 def _ratio(text, flag: str = "--ratio") -> Ratio:
@@ -458,6 +470,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _merge_config(args)
+        _check_shared_flags(args)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -98,9 +98,9 @@ class MetricSeries:
         return self.mixing_norm.shape[-1]
 
     def row(self, k: int) -> "MetricSeries":
-        """The one-run series of order k of an ensemble."""
-        return MetricSeries(self.cut_count[k], self.percent_unmixed[k],
-                            self.mixing_norm[k], self.p, self.cbar)
+        """The one-run series of order k of an ensemble; a metric not computed stays None."""
+        runs = [None if a is None else a[k] for a in (self.cut_count, self.percent_unmixed)]
+        return MetricSeries(*runs, self.mixing_norm[k], self.p, self.cbar)
 
 
 def compute_series(fields, p: float = 2.0) -> MetricSeries:

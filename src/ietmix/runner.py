@@ -2,15 +2,15 @@
 
 An ensemble runs one (N, r, D, T_max) protocol family over a set of
 shuffle orders (all allowed ones by default, in lexicographic order so
-averages are reproducible), averages the metric curves across orders,
-fits the averaged norm decay, and derives the e-folding scale used for
-rescaled-curve comparisons.
+averages are reproducible); its averaged curves, the fit of its averaged
+norm decay and the e-folding scale all derive from its metric series.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +24,15 @@ from .stopping import StoppingTimeSolution, solve_stopping_time
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Averaged mixing behavior of one protocol family across shuffle orders.
+    """Mixing behavior of one protocol family across shuffle orders.
 
-    series holds the (P, T+1) metric arrays, row k for permutations[k].
-    An ensemble run without its run metrics has avg_cut and avg_subseg
-    None, and a diffusion-free one carries no percent_unmixed.
+    series holds the (P, T+1) metric arrays, row k for permutations[k],
+    and the rest is derived from it on read. Averages are means over the
+    orders in the listed order, so they are bit-reproducible. A diffusive
+    ensemble fits its averaged norm on the first read of fit, and t_pe is
+    the e-folding scale of a converged fit; without diffusion the norm
+    cannot decay, so both are None. avg_cut and avg_subseg are None when
+    the run metrics were skipped.
     """
 
     n: int
@@ -38,19 +42,41 @@ class EnsembleResult:
     p: float
     permutations: tuple[Perm, ...]
     series: MetricSeries
-    avg_norm: np.ndarray
-    avg_cut: np.ndarray | None
-    avg_subseg: np.ndarray | None
-    m: float
-    fit: FitResult | None
-    t_pe: float | None
+
+    @property
+    def avg_norm(self) -> np.ndarray:
+        return self.series.mixing_norm.mean(axis=0)
+
+    @property
+    def avg_cut(self) -> np.ndarray | None:
+        cuts = self.series.cut_count
+        return None if cuts is None else cuts.mean(axis=0)
+
+    @property
+    def avg_subseg(self) -> np.ndarray | None:
+        lengths = self.series.mean_subseg_len
+        return None if lengths is None else lengths.mean(axis=0)
+
+    @property
+    def m(self) -> float:
+        return float(self.avg_norm[0])
+
+    @cached_property
+    def fit(self) -> FitResult | None:
+        if self.d > 0.0:
+            return fit_stretched_exponential(np.arange(self.t_max + 1), self.avg_norm, self.m)
+        return None
+
+    @property
+    def t_pe(self) -> float | None:
+        return efolding_time(self.fit) if self.fit is not None and self.fit.converged else None
 
 
 def run_ensemble(
     n: int, ratio: Ratio, d: float, t_max: int, permutations=None, p: float = 2.0,
     runs: bool = True,
 ) -> EnsembleResult:
-    """Simulate every shuffle order and average the metric curves.
+    """Simulate every shuffle order of one protocol family.
 
     Diffusive orders evolve together as one batched block
     (lattice.evolve). Without diffusion every state is a permutation of
@@ -58,11 +84,6 @@ def run_ensemble(
     counts come from lattice.cut_counts, which follows only the piece
     ends. runs=False leaves the cut counts and runs out of the series,
     and evolve skips its run scan.
-    Averages are arithmetic means at each iteration, accumulated in the
-    listed order, so results are bit-reproducible. For diffusive runs
-    the averaged norm is fitted and the e-folding scale attached;
-    diffusion-free ensembles keep fit=None since their norm cannot
-    decay.
     """
     if permutations is None:
         permutations = enumerate_allowed(n)
@@ -75,29 +96,7 @@ def run_ensemble(
         series = MetricSeries(counts if runs else None, None, norms, float(p), cbar)
     else:
         series = evolve(n, ratio, d, t_max, perms, p=p, runs=runs)
-    avg_norm = series.mixing_norm.mean(axis=0)
-    m = float(avg_norm[0])
-    fit = None
-    t_pe = None
-    if d > 0.0:
-        fit = fit_stretched_exponential(np.arange(t_max + 1), avg_norm, m)
-        if fit.converged:
-            t_pe = efolding_time(fit)
-    return EnsembleResult(
-        n=n,
-        ratio=ratio,
-        d=float(d),
-        t_max=int(t_max),
-        p=float(p),
-        permutations=perms,
-        series=series,
-        avg_norm=avg_norm,
-        avg_cut=None if series.cut_count is None else series.cut_count.mean(axis=0),
-        avg_subseg=None if series.cut_count is None else series.mean_subseg_len.mean(axis=0),
-        m=m,
-        fit=fit,
-        t_pe=t_pe,
-    )
+    return EnsembleResult(n, ratio, float(d), int(t_max), float(p), perms, series)
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def collapse(
     """
     usable = []
     for ens in ensembles:
-        if ens.fit is None or not ens.fit.converged or not ens.t_pe:
+        if ens.t_pe is None:
             warnings.warn(
                 f"collapse: skipping ensemble r={ens.ratio}, D={ens.d}: no converged fit"
             )
@@ -142,12 +141,13 @@ def collapse(
         curves.append(np.interp(grid, x, ens.avg_norm / ens.m))
         members.extend(np.interp(grid, x, norm / ens.m) for norm in ens.series.mixing_norm)
     curves = np.vstack(curves)
+    mean_curve = curves.mean(axis=0)
     return CollapseResult(
         grid=grid,
         curves=curves,
-        mean_curve=curves.mean(axis=0),
+        mean_curve=mean_curve,
         std_curve=np.vstack(members).std(axis=0),
-        fit=fit_stretched_exponential(grid, curves.mean(axis=0), m=1.0),
+        fit=fit_stretched_exponential(grid, mean_curve, m=1.0),
     )
 
 
@@ -172,8 +172,8 @@ def steepening_report(
     stability checked, by diffusivity_from_peclet. With max_slopes the
     diffusive ensemble of each Pe whose crossing happens is run too, and
     the steepest descent of norm/M against T / stopping time reported
-    (only their averaged norm is needed, so they are not fitted);
-    otherwise max_slope stays None. A Pe whose crossing never happens
+    (only their averaged norm is read, so none is fitted); otherwise
+    max_slope stays None. A Pe whose crossing never happens
     yields a flagged row rather than failing the sweep.
     """
     pe_seq = [float(pe) for pe in pe_list]
@@ -190,9 +190,8 @@ def steepening_report(
         sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
         max_slope = None
         if max_slopes and sol.found:
-            series = evolve(n, ratio, d, t_max, base.permutations, p=p, runs=False)
-            avg_norm = series.mixing_norm.mean(axis=0)
-            drop = np.abs(np.diff(avg_norm / float(avg_norm[0])))
+            ens = run_ensemble(n, ratio, d, t_max, base.permutations, p=p, runs=False)
+            drop = np.abs(np.diff(ens.avg_norm / ens.m))
             max_slope = float(drop.max()) * sol.interpolated
         rows.append(SteepeningRow(pe=pe, d=d, solution=sol, max_slope=max_slope))
     return rows

@@ -332,7 +332,7 @@ def test_simulate_rejects_non_finite_norm_order(tmp_path, capsys, p):
     code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2",
                    "--d", "0.5", "--tmax", "5", "--p", p, "--out", str(out))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: norm order")
+    assert capsys.readouterr().err == f"error: --p must be a finite number >= 1, got {p}\n"
     assert not out.exists()
 
 
@@ -654,3 +654,60 @@ def test_repeated_ratio_is_refused_before_any_run(tmp_path, capsys, verb, second
     assert captured.err == "error: --ratio 3/2 is given more than once\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+_PIECE_RUNS = {
+    "simulate": ["simulate", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "20"],
+    "list-permutations": ["list-permutations"],
+    "sweep": ["sweep", "--ratio", "3/2", "--tmax", "20"],
+    "collapse": ["collapse", "--ratio", "3/2", "--ratio", "5/4", "--d", "0.5", "--tmax", "20"],
+    "stopping-time": ["stopping-time", "--ratio", "3/2", "--tmax", "200", "--pe", "50"],
+    "table1": ["table1"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_PIECE_RUNS))
+@pytest.mark.parametrize("n", ["1", "10"])
+def test_bad_piece_count_names_the_flag(tmp_path, capsys, verb, n):
+    out = tmp_path / "out"
+    outs = [] if verb == "list-permutations" else ["--out", str(out)]
+    assert run_cli(*_PIECE_RUNS[verb], "--n", n, *outs) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --n must be an integer in 2..9, got {n}\n"
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+_NORM_ORDER_RUNS = {verb: argv + ["--n", "4"] for verb, argv in _PIECE_RUNS.items()
+                    if verb in ("simulate", "sweep", "collapse", "stopping-time")}
+
+
+@pytest.mark.parametrize("verb", sorted(_NORM_ORDER_RUNS))
+@pytest.mark.parametrize("p", ["0.5", "0", "inf", "nan"])
+def test_bad_norm_order_names_the_flag(tmp_path, capsys, verb, p):
+    out = tmp_path / "out"
+    assert run_cli(*_NORM_ORDER_RUNS[verb], "--p", p, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --p must be a finite number >= 1, got {p}\n"
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+def test_bad_value_from_a_config_names_the_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"n": 4, "p": 0.5}))
+    code = run_cli("sweep", "--ratio", "3/2", "--tmax", "20", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == "error: --p must be a finite number >= 1, got 0.5\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", [b'{"n": 4,\n', b"\xff\xfe"], ids=["truncated", "binary"])
+def test_config_that_is_not_json_names_the_file(tmp_path, capsys, content):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_bytes(content)
+    code = run_cli("simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid JSON: ")
+    assert not (tmp_path / "out").exists()

@@ -1,8 +1,12 @@
 """Ensemble averaging, rescaled collapse, steepening sweep, size table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ietmix import runner
+from ietmix.cli import main
 from ietmix.fitting import efolding_time
 from ietmix.lattice import Ratio
 from ietmix.permutations import enumerate_allowed
@@ -130,3 +134,70 @@ def test_ensemble_result_is_frozen():
     assert isinstance(ens, EnsembleResult)
     with pytest.raises(AttributeError):
         ens.m = 0.0
+
+
+def test_ensemble_result_stores_its_inputs_and_series_only():
+    names = [field.name for field in dataclasses.fields(EnsembleResult)]
+    assert names == ["n", "ratio", "d", "t_max", "p", "permutations", "series"]
+
+
+@pytest.mark.parametrize("d, runs", [(0.0, True), (0.5, False)], ids=["d0", "no-runs"])
+def test_series_row_passes_missing_metrics_through(d, runs):
+    series = run_ensemble(4, Ratio(3, 2), d, 10, runs=runs).series
+    row = series.row(2)
+    assert np.array_equal(row.mixing_norm, series.mixing_norm[2])
+    assert row.percent_unmixed is None
+    if runs:
+        assert np.array_equal(row.cut_count, series.cut_count[2])
+    else:
+        assert row.cut_count is None and row.mean_subseg_len is None
+    assert (row.p, row.cbar) == (series.p, series.cbar)
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The arguments of every fit the runner makes; each fit still runs."""
+    calls = []
+    fit = runner.fit_stretched_exponential
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "fit_stretched_exponential", counted)
+    return calls
+
+
+def test_ensemble_fits_on_the_first_read_only(fit_calls):
+    ens = run_ensemble(4, Ratio(3, 2), 0.5, 60)
+    assert fit_calls == []
+    assert ens.fit is ens.fit
+    assert ens.t_pe == efolding_time(ens.fit)
+    assert len(fit_calls) == 1
+
+
+def test_diffusion_free_ensemble_fits_nothing(fit_calls):
+    ens = run_ensemble(4, Ratio(3, 2), 0.0, 50)
+    assert ens.fit is None and ens.t_pe is None
+    assert fit_calls == []
+
+
+def test_steepening_slopes_fit_nothing(fit_calls):
+    rows = steepening_report(4, Ratio(3, 2), 120, [80.0, 160.0], max_slopes=True)
+    assert all(row.max_slope is not None for row in rows)
+    assert fit_calls == []
+
+
+def test_sweep_fits_each_ensemble_once(fit_calls, tmp_path, capsys):
+    code = main(["sweep", "--n", "4", "--ratio", "3/2", "--ratio", "5/4", "--d", "0.5",
+                 "--tmax", "40", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert len(fit_calls) == 2
+    assert capsys.readouterr().out.count("tau=") == 2
+
+
+def test_too_short_diffusive_ensemble_refuses_when_its_fit_is_read():
+    ens = run_ensemble(4, Ratio(3, 2), 0.5, 2)
+    assert ens.avg_norm.shape == (3,)
+    with pytest.raises(ValueError, match="samples"):
+        ens.fit
