@@ -30,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import diffusivity_from_peclet, match_iterations
+from .diffusion import (
+    StabilityError, diffusivity_from_peclet, match_iterations, stable_budget,
+)
 from .fitting import MIN_FIT_SAMPLES, fit_stretched_exponential
 from .io import (
     SpaceTimeWriter,
@@ -172,13 +174,28 @@ def _require_peclet_budget(t_max: int) -> None:
         raise ValueError(f"--pe needs a positive budget (--tmax or --tmax-from), got {t_max}")
 
 
+def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
+    """D for one --pe on the budget; an unstable pair names both flags."""
+    try:
+        return diffusivity_from_peclet(length, pe, t_max)
+    except StabilityError:
+        need = stable_budget(length, pe)
+        if args.tmax is not None:
+            given, fix = f"--tmax {t_max}", f"raise --tmax to at least {need}"
+        else:
+            given = f"--tmax-from {args.tmax_from} (tmax {t_max})"
+            fix = f"raise --tmax-from until tmax is at least {need}"
+        raise ValueError(f"--pe {pe:g} with {given} on a length-{length} lattice "
+                         f"needs D > 1/2; {fix}") from None
+
+
 def _resolve_d(args, length: int, t_max: int) -> float:
     if args.d is not None and args.pe is not None:
         raise ValueError("--d and --pe are mutually exclusive")
     if args.pe is not None:
         pe = _peclet(args.pe)
         _require_peclet_budget(t_max)
-        return diffusivity_from_peclet(length, pe, t_max)
+        return _diffusivity(args, length, t_max, pe)
     if args.d is not None and not 0.0 <= args.d <= 0.5:
         raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
     return args.d if args.d is not None else 0.0
@@ -356,6 +373,8 @@ def _cmd_stopping_time(args) -> int:
     for a, b in zip(pes, pes[1:]):
         if a == b:
             raise ValueError(f"--pe {a:g} is given more than once")
+    for pe in pes:
+        _diffusivity(args, length, t_max, pe)
     p = _norm_order(args)
     lm_mode = args.lm_mode or "count"
     rows = steepening_report(

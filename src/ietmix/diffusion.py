@@ -64,6 +64,11 @@ def peclet_number(length: int, d: float, t_max: int) -> float:
     return length * length / (d * t_max)
 
 
+def stable_budget(length: int, pe: float) -> int:
+    """The least budget T at which Pe keeps D = L^2 / (Pe * T) within 1/2."""
+    return math.ceil(2 * length * length / pe)
+
+
 def diffusivity_from_peclet(length: int, pe: float, t_max: int) -> float:
     """Diffusivity D = L^2 / (Pe * T_max) realizing a target Peclet number."""
     if length <= 0 or t_max <= 0:
@@ -74,6 +79,6 @@ def diffusivity_from_peclet(length: int, pe: float, t_max: int) -> float:
     if d > 0.5:
         raise StabilityError(
             f"Pe={pe} on a length-{length} lattice needs D={d:.4g} > 1/2; "
-            f"raise t_max to at least {math.ceil(2 * length * length / pe)}"
+            f"raise t_max to at least {stable_budget(length, pe)}"
         )
     return d

@@ -206,16 +206,20 @@ def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations) -> list[Pr
     return protocols
 
 
-def _shuffle_map(n: int, ratio: Ratio, protocols) -> np.ndarray:
-    """sigma, the flat index map of one shuffle of every order's row.
+def _slots(n: int, ratio: Ratio, protocols):
+    """The shuffle of every order as N translated slots, three (P, N) arrays.
 
-    Row k is shuffle_step of the site indices 0..L-1 with order k,
-    offset by k * L, so block.ravel()[sigma] shuffles every row of a
-    C-contiguous (P, L) block at once.
+    Slot s of order k starts at site start[k, s] and holds piece piece[k, s] =
+    q_k[s] - 1: a site x there holds what sat at x + shift[k, s] before the
+    shuffle. The P rows laid end to end must stay indexable by 64-bit ints.
     """
-    sites, cuts = np.arange(total_length(n, ratio), dtype=np.intp), cut_positions(n, ratio)
-    return np.concatenate([shuffle_step(sites, cuts, q.permutation) + k * sites.size
-                           for k, q in enumerate(protocols)])
+    lengths = subsegment_lengths(n, ratio)
+    if len(protocols) * int(lengths.sum()) > _MAX_LENGTH:
+        raise CapacityError(f"{len(protocols)} orders of length {int(lengths.sum())} "
+                            f"exceed 64-bit capacity (n={n}, r={ratio})")
+    piece = np.array([q.permutation for q in protocols], dtype=np.int64) - 1
+    start = np.cumsum(lengths[piece], axis=1) - lengths[piece]
+    return piece, start, (np.cumsum(lengths) - lengths)[piece] - start
 
 
 def evolve(
@@ -227,7 +231,7 @@ def evolve(
     The P orders evolve as one C-contiguous (P, L) block, row k holding
     the field of permutations[k]. T = 0 is the initial field; iteration
     T shuffles and then, when D > 0, applies one diffusion sweep. The
-    shuffle gathers the block into own through _shuffle_map; the stencil
+    shuffle gathers the block into own through sigma (from _slots); the stencil
     of diffusion_step writes from shifted slices of own back into the
     block (work is its scratch), so each row is bit-identical to
     composing shuffle_step and diffusion_step.
@@ -250,7 +254,8 @@ def evolve(
     field = initial_field(n, ratio)
     rows, length = len(protocols), field.size
 
-    sigma = _shuffle_map(n, ratio, protocols)
+    _, start, shift = _slots(n, ratio, protocols)
+    sigma = np.arange(rows * length) + np.repeat(shift, np.diff(start, append=length).ravel())
     block = np.empty((rows, length))
     block[:] = field
     own, work = np.empty_like(block), np.empty_like(block)
@@ -304,29 +309,31 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     N-1 seams of the new order, where the end of piece q[k-1] meets the
     start of piece q[k]: C(T+1) = C(T) - lost(T) + made(T). Both terms
     read the colors at the 2N piece-end sites. Site x holds at T what
-    sat at sigma^T(x) at T = 0 (sigma from _shuffle_map), and pieces
-    start with distinct colors, so each end's orbit is followed step by
-    step and only the piece it reaches is kept, one int8 per end and
-    iteration.
+    sat at sigma^T(x) at T = 0, and pieces start with distinct colors, so
+    each end's orbit is followed through the slots of _slots: the slot an
+    end lies in names the piece it reaches, and its shift moves it there.
+    Only that piece is kept, one int8 per end and iteration.
     """
     protocols = _orders(n, ratio, 0.0, t_max, permutations)
     t_max, rows = protocols[0].t_max, len(protocols)
-    lengths = subsegment_lengths(n, ratio)
-    sigma = _shuffle_map(n, ratio, protocols)
-    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    piece, start, shift = _slots(n, ratio, protocols)
+    bounds = np.concatenate(([0], np.cumsum(subsegment_lengths(n, ratio))))
+    offsets = np.arange(rows)[:, None] * bounds[-1]  # the rows lie end to end
     # Ends 0..N-1 are the first sites of the pieces, N..2N-1 their last.
-    ends = np.concatenate((bounds[:-1], bounds[1:] - 1))
-    pos = (ends + np.arange(rows)[:, None] * bounds[-1]).ravel()
-    piece = np.tile(np.repeat(np.arange(n, dtype=np.int8), lengths), rows)
+    pos = (np.concatenate((bounds[:-1], bounds[1:] - 1)) + offsets).ravel()
+    # A right-sided search gives 1 + the slot, so piece and shift lead with a pad.
+    starts, slot_shift = (start + offsets).ravel(), np.pad(shift.ravel(), (1, 0))
+    slot_piece = np.pad(piece.ravel(), (1, 0)).astype(np.int8)
     history = np.empty((t_max, rows, 2 * n), dtype=np.int8)
-    for labels in history.reshape(t_max, rows * 2 * n):
-        piece.take(pos, out=labels)
-        pos = sigma[pos]
+    history[:1] = np.arange(2 * n) % n
+    for labels in history[1:].reshape(-1, rows * 2 * n):
+        slot = starts.searchsorted(pos, side="right")
+        slot_piece.take(slot, out=labels)
+        pos += slot_shift.take(slot)
     first, last = history[:, :, :n], history[:, :, n:]
-    order = np.array([q.permutation for q in protocols], dtype=np.intp) - 1
     row = np.arange(rows)[:, None]
     # made - lost lies in [1-N, N-1], so it is summed in int8.
-    change = np.sum(last[:, row, order[:, :-1]] != first[:, row, order[:, 1:]],
+    change = np.sum(last[:, row, piece[:, :-1]] != first[:, row, piece[:, 1:]],
                     axis=2, dtype=np.int8)
     change -= np.sum(last[:, :, :-1] != first[:, :, 1:], axis=2, dtype=np.int8)
     counts = np.empty((rows, t_max + 1), dtype=np.int64)

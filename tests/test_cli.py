@@ -214,7 +214,9 @@ def test_stopping_time_rejects_unstable_peclet(tmp_path, capsys):
     code = run_cli("stopping-time", "--n", "4", "--ratio", "5/4", "--tmax", "5",
                    "--pe", "10", "--out", str(tmp_path))
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --pe 10 with --tmax 5 ")
+    assert "raise --tmax to at least 27233" in err
     assert not (tmp_path / "stopping_times.csv").exists()
 
 
@@ -322,7 +324,9 @@ def test_unstable_peclet_leaves_no_output_directory(tmp_path, capsys):
     code = run_cli("stopping-time", "--n", "4", "--ratio", "5/4", "--tmax", "5",
                    "--pe", "10", "--steepening", "--out", str(out))
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --pe 10 with --tmax 5 ")
+    assert "raise --tmax to at least 27233" in err
     assert not out.exists()
 
 
@@ -630,6 +634,32 @@ def test_non_positive_peclet_names_the_flag(tmp_path, capsys, verb, pe, shown):
     assert run_cli(*_PECLET_RUNS[verb], "--tmax", "200", "--pe", pe, "--out", str(out)) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: --pe must be finite and positive, got {shown}\n"
+    assert captured.out == ""  # refused before any run
+    assert not out.exists()
+
+
+# Pe = 10 on L = 369 (r = 5/4) needs a budget of 27233 for D <= 1/2; 5
+# iterations, given directly or matched from the reference 369,5, are far short.
+_UNSTABLE_RUNS = {
+    "simulate": ["simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2"],
+    "sweep": ["sweep", "--n", "4", "--ratio", "5/4"],
+    "collapse": ["collapse", "--n", "4", "--ratio", "5/4"],
+    "stopping-time": ["stopping-time", "--n", "4", "--ratio", "5/4"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_UNSTABLE_RUNS))
+@pytest.mark.parametrize("budget, given, fix", [
+    (["--tmax", "5"], "--tmax 5", "raise --tmax to at least 27233"),
+    (["--tmax-from", "369,5"], "--tmax-from 369,5 (tmax 5)",
+     "raise --tmax-from until tmax is at least 27233"),
+], ids=["tmax", "tmax-from"])
+def test_unstable_peclet_names_its_flags(tmp_path, capsys, verb, budget, given, fix):
+    out = tmp_path / "out"
+    assert run_cli(*_UNSTABLE_RUNS[verb], *budget, "--pe", "10", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --pe 10 with {given} on a length-369 lattice "
+                            f"needs D > 1/2; {fix}\n")
     assert captured.out == ""  # refused before any run
     assert not out.exists()
 

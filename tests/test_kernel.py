@@ -9,6 +9,7 @@ bit for bit with the kernel's.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from ietmix.diffusion import diffusion_step
 from ietmix.lattice import (
+    CapacityError,
     Protocol,
     Ratio,
     cut_counts,
@@ -159,6 +161,28 @@ def test_cut_counts_validate_their_inputs():
         cut_counts(4, Ratio(3, 2), 5, [(2, 1, 3)])
     with pytest.raises(ValueError):
         cut_counts(4, Ratio(3, 2), -1, [(3, 1, 4, 2)])
+
+
+# n = 9, r = 101/100 gives L = 93,685,272,684,360,901: no per-site array of
+# it fits in memory, but the piece ends need only a few kilobytes. After one
+# shuffle each piece still holds one color, so C(1) = N - 1 for any order.
+def test_cut_counts_reach_lattices_beyond_memory():
+    orders = enumerate_allowed(9)[:4]
+    tracemalloc.start()
+    try:
+        counts = cut_counts(9, Ratio(101, 100), 3, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.int64 and counts.shape == (4, 4)
+    assert np.all(counts[:, :2] == 8)
+    assert peak < 2**20
+
+
+def test_cut_counts_refuse_rows_beyond_64_bits():
+    # Two rows of L = 2**62 + 1 sites lie end to end past 2**63 - 1.
+    with pytest.raises(CapacityError):
+        cut_counts(2, Ratio(2**62, 1), 1, [(2, 1), (2, 1)])
 
 
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
