@@ -59,23 +59,25 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory (default: current directory)")
 
 
-def _add_protocol_flags(sub, ratio_repeats: bool):
-    sub.add_argument("--n", type=int, help="number of pieces (2..9)")
-    if ratio_repeats:
-        sub.add_argument(
-            "--ratio", action="append",
-            help="length ratio as a fraction a/b; repeat for several ratios",
-        )
-    else:
-        sub.add_argument("--ratio", help="length ratio as a fraction a/b")
-    sub.add_argument("--d", type=float, help="diffusivity in [0, 1/2]")
-    sub.add_argument("--pe", type=float, help="Peclet number (alternative to --d)")
-    sub.add_argument("--tmax", type=int, help="iteration budget")
-    sub.add_argument(
-        "--tmax-from", dest="tmax_from",
-        help="derive the budget from a reference run, as L_ref,T_ref",
-    )
-    sub.add_argument("--p", type=float, help="mixing-norm order (default 2)")
+#: The protocol flags, declared once for every verb that takes them.
+_PROTOCOL_FLAGS = {
+    "--n": {"type": int, "help": "number of pieces (2..9)"},
+    "--ratio": {"help": "length ratio as a fraction a/b"},
+    "--d": {"type": float, "help": "diffusivity in [0, 1/2]"},
+    "--pe": {"type": float, "help": "Peclet number (alternative to --d)"},
+    "--tmax": {"type": int, "help": "iteration budget"},
+    "--tmax-from": {"help": "derive the budget from a reference run, as L_ref,T_ref"},
+    "--p": {"type": float, "help": "mixing-norm order (default 2)"},
+}
+_REPEATED_RATIO = {"action": "append",
+                   "help": "length ratio as a fraction a/b; repeat for several ratios"}
+
+
+def _add_protocol_flags(sub, *names, ratio_repeats: bool):
+    """Add the named protocol flags, or all of them, to a verb's parser."""
+    for name in names or _PROTOCOL_FLAGS:
+        spec = _REPEATED_RATIO if ratio_repeats and name == "--ratio" else _PROTOCOL_FLAGS[name]
+        sub.add_argument(name, **spec)
 
 
 def _config_value(action: argparse.Action, key: str, value):
@@ -227,8 +229,11 @@ def _cmd_simulate(args) -> int:
         raise ValueError(
             f"--perm takes comma-separated piece numbers such as 3,1,4,2, got {args.perm!r}"
         ) from None
+    try:  # --n, --d and --tmax are checked already, so the order is at fault
+        protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
+    except ValueError as exc:
+        raise ValueError(f"--perm: {exc}") from None
     p = _norm_order(args)
-    protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     fmt = args.format or "pgm"
     with output_dir(args.out) as out:
         with (contextlib.nullcontext() if fmt == "none" else
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_simulate)
 
     s = sub.add_parser("list-permutations", help="allowed shuffle orders")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", required=True, **_PROTOCOL_FLAGS["--n"])
     s.add_argument("--rejected", action="store_true",
                    help="also list rejected orders with the rule they break")
     s.set_defaults(func=_cmd_list_permutations)
@@ -455,11 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_collapse)
 
     s = sub.add_parser("stopping-time", help="Batchelor stopping times over a Peclet sweep")
-    s.add_argument("--n", type=int)
-    s.add_argument("--ratio", help="length ratio as a fraction a/b")
-    s.add_argument("--tmax", type=int)
-    s.add_argument("--tmax-from", dest="tmax_from")
-    s.add_argument("--p", type=float)
+    _add_protocol_flags(s, "--n", "--ratio", "--tmax", "--tmax-from", "--p",
+                        ratio_repeats=False)
     s.add_argument("--pe", action="append", help="repeatable Peclet value")
     s.add_argument("--lm-mode", choices=["count", "length"],
                    help="striation length from averaged counts (count, the default) "
@@ -470,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_stopping_time)
 
     s = sub.add_parser("table1", help="lattice sizes and matched iteration budgets")
-    s.add_argument("--n", type=int)
-    s.add_argument("--ratio", action="append")
+    _add_protocol_flags(s, "--n", "--ratio", ratio_repeats=True)
     s.add_argument("--ref-ratio", help="reference ratio (default 5/4)")
     s.add_argument("--ref-tmax", type=int, help="reference budget (default 50)")
     _add_common(s)
@@ -495,5 +496,5 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1

@@ -112,7 +112,8 @@ class SpaceTimeWriter:
             raise ValueError(f"unknown space-time format {format!r}; use pgm or csv")
         self.path, self.format = Path(path), format
         self.rows, self.width = shape
-        self._csv_row = ",".join(["%.17g"] * self.width) + "\n"
+        if format == "csv":  # a pgm row needs no template, and may be far too wide for one
+            self._csv_row = ",".join(["%.17g"] * self.width) + "\n"
         self._written = 0
 
     def __call__(self, block) -> None:

@@ -197,27 +197,30 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
     return [s ** (1.0 / p) for s in (powed.sum(axis=1) / block.shape[1]).tolist()]
 
 
-def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations) -> list[Protocol]:
-    """The checked protocol of every order of one (N, r, D, T_max) family."""
-    protocols = [Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)
-                 for q in permutations]
-    if not protocols:
-        raise ValueError("ensemble needs at least one permutation")
-    return protocols
+def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations):
+    """D and T_max, checked by one Protocol, and the orders, checked at once, as (P, N) int64."""
+    orders = np.array(permutations, dtype=np.int64)  # a ragged list is a ValueError
+    if orders.ndim != 2 or not orders.size:
+        raise ValueError("ensemble needs a nonempty list of orders, all of one length")
+    checked = Protocol(n=n, ratio=ratio, permutation=orders[0].tolist(), d=d, t_max=t_max)
+    bad = orders[np.any(np.sort(orders, axis=1) != np.arange(1, n + 1), axis=1)]
+    if bad.size:
+        raise ValueError(f"not a permutation of 1..{n}: {bad[0].tolist()}")
+    return checked.d, checked.t_max, orders
 
 
-def _slots(n: int, ratio: Ratio, protocols):
+def _slots(n: int, ratio: Ratio, orders: np.ndarray):
     """The shuffle of every order as N translated slots, three (P, N) arrays.
 
     Slot s of order k starts at site start[k, s] and holds piece piece[k, s] =
-    q_k[s] - 1: a site x there holds what sat at x + shift[k, s] before the
+    orders[k, s] - 1: a site x there holds what sat at x + shift[k, s] before the
     shuffle. The P rows laid end to end must stay indexable by 64-bit ints.
     """
     lengths = subsegment_lengths(n, ratio)
-    if len(protocols) * int(lengths.sum()) > _MAX_LENGTH:
-        raise CapacityError(f"{len(protocols)} orders of length {int(lengths.sum())} "
+    if len(orders) * int(lengths.sum()) > _MAX_LENGTH:
+        raise CapacityError(f"{len(orders)} orders of length {int(lengths.sum())} "
                             f"exceed 64-bit capacity (n={n}, r={ratio})")
-    piece = np.array([q.permutation for q in protocols], dtype=np.int64) - 1
+    piece = orders - 1
     start = np.cumsum(lengths[piece], axis=1) - lengths[piece]
     return piece, start, (np.cumsum(lengths) - lengths)[piece] - start
 
@@ -247,14 +250,13 @@ def evolve(
     a buffer the kernel reuses, so an observer copies whatever it keeps.
     Returns one MetricSeries at norm order p holding those arrays.
     """
-    protocols = _orders(n, ratio, d, t_max, permutations)
+    d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be a finite p >= 1, got {p}")
-    d, t_max, p = protocols[0].d, protocols[0].t_max, float(p)
-    field = initial_field(n, ratio)
-    rows, length = len(protocols), field.size
+    field, p = initial_field(n, ratio), float(p)
+    rows, length = len(orders), field.size
 
-    _, start, shift = _slots(n, ratio, protocols)
+    _, start, shift = _slots(n, ratio, orders)
     sigma = np.arange(rows * length) + np.repeat(shift, np.diff(start, append=length).ravel())
     block = np.empty((rows, length))
     block[:] = field
@@ -312,35 +314,33 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     sat at sigma^T(x) at T = 0, and pieces start with distinct colors, so
     each end's orbit is followed through the slots of _slots: the slot an
     end lies in names the piece it reaches, and its shift moves it there.
-    Only that piece is kept, one int8 per end and iteration.
     """
-    protocols = _orders(n, ratio, 0.0, t_max, permutations)
-    t_max, rows = protocols[0].t_max, len(protocols)
-    piece, start, shift = _slots(n, ratio, protocols)
+    _, t_max, orders = _orders(n, ratio, 0.0, t_max, permutations)
+    piece, start, shift = _slots(n, ratio, orders)
     bounds = np.concatenate(([0], np.cumsum(subsegment_lengths(n, ratio))))
-    offsets = np.arange(rows)[:, None] * bounds[-1]  # the rows lie end to end
+    offsets = np.arange(len(piece))[:, None] * bounds[-1]  # the rows lie end to end
     # Ends 0..N-1 are the first sites of the pieces, N..2N-1 their last.
     pos = (np.concatenate((bounds[:-1], bounds[1:] - 1)) + offsets).ravel()
+    labels = np.arange(pos.size) % n  # at T = 0 each end holds its own piece
+    # A row of seams lists order k's pieces, then the identity's, as flat label indices;
+    # each neighbor pair in it meets at a seam: ends[0] indexes the last end of the left
+    # piece, ends[1] the first end of the right. The order's seams make a pair, the
+    # identity's (the fixed cuts) lose one, and the pair across the two lists is none.
+    seams = np.hstack((piece, piece * 0 + np.arange(n))) + np.arange(0, pos.size, 2 * n)[:, None]
+    ends = np.stack((seams[:, :-1] + n, seams[:, 1:]))
+    del seams  # the loop keeps only ends
+    weight = np.repeat([1, 0, -1], [n - 1, 1, n - 1])
     # A right-sided search gives 1 + the slot, so piece and shift lead with a pad.
     starts, slot_shift = (start + offsets).ravel(), np.pad(shift.ravel(), (1, 0))
-    slot_piece = np.pad(piece.ravel(), (1, 0)).astype(np.int8)
-    history = np.empty((t_max, rows, 2 * n), dtype=np.int8)
-    history[:1] = np.arange(2 * n) % n
-    for labels in history[1:].reshape(-1, rows * 2 * n):
-        slot = starts.searchsorted(pos, side="right")
-        slot_piece.take(slot, out=labels)
-        pos += slot_shift.take(slot)
-    first, last = history[:, :, :n], history[:, :, n:]
-    row = np.arange(rows)[:, None]
-    # made - lost lies in [1-N, N-1], so it is summed in int8.
-    change = np.sum(last[:, row, piece[:, :-1]] != first[:, row, piece[:, 1:]],
-                    axis=2, dtype=np.int8)
-    change -= np.sum(last[:, :, :-1] != first[:, :, 1:], axis=2, dtype=np.int8)
-    counts = np.empty((rows, t_max + 1), dtype=np.int64)
-    counts[:, 0] = n - 1  # the initial field changes color at every cut
-    np.cumsum(change.T, axis=1, dtype=np.int64, out=counts[:, 1:])
-    counts[:, 1:] += n - 1
-    return counts
+    slot_piece = np.pad(piece.ravel(), (1, 0))
+    counts = np.full((len(piece), t_max + 1), n - 1, dtype=np.int64)  # C(0) = N - 1
+    for t in range(1, t_max + 1):  # column t takes made - lost, C(t) - C(t - 1)
+        np.matmul(np.not_equal(*labels.take(ends)), weight, out=counts[:, t])
+        if t < t_max:
+            slot = starts.searchsorted(pos, side="right")
+            labels = slot_piece.take(slot)
+            pos += slot_shift.take(slot)
+    return np.cumsum(counts, axis=1, out=counts)
 
 
 def iterate(protocol: Protocol) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, flag resolution, config files, outputs."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ietmix
-from ietmix.cli import main
+from ietmix.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -174,10 +175,29 @@ def test_collapse_accepts_the_fewest_grid_points(tmp_path, capsys):
 
 def test_oversized_lattice_reports_memory_error(tmp_path, capsys):
     # L is about 9.4e16 sites: inside the 64-bit capacity, far beyond memory.
+    # The kernel's first per-site array fails, and NumPy says what it asked for.
     code = run_cli("simulate", "--n", "9", "--ratio", "101/100",
                    "--perm", "9,8,7,6,5,4,3,2,1", "--tmax", "1", "--out", str(tmp_path))
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: out of memory")
+    head, _, detail = capsys.readouterr().err.partition("error: out of memory: ")
+    assert head == "" and detail.strip()
+
+
+def test_memory_error_without_text_prints_no_dangling_colon(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr("ietmix.cli.enumerate_allowed", exhausted)
+    assert run_cli("list-permutations", "--n", "4") == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_every_flag_of_every_verb_has_help():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    silent = [(verb, action.option_strings) for verb, sub in verbs.choices.items()
+              for action in sub._actions if action.dest != "help" and not action.help]
+    assert silent == []
 
 
 def test_sweep_exports_bundles_and_scatter(tmp_path, capsys):
@@ -426,13 +446,18 @@ def test_malformed_ratio_names_the_flag(capsys):
     assert err.startswith("error: --ratio") and "fraction a/b" in err and "'5/4/3'" in err
 
 
-def test_malformed_perm_names_the_flag(tmp_path, capsys):
+@pytest.mark.parametrize("perm, detail", [
+    ("3,1,x,2", "'3,1,x,2'"),
+    ("3,1,2", "(3, 1, 2) does not act on 4 pieces"),
+    ("3,1,1,2", "not a permutation of 1..4: (3, 1, 1, 2)"),
+], ids=["not-a-number", "too-short", "repeated"])
+def test_malformed_perm_names_the_flag(tmp_path, capsys, perm, detail):
     out = tmp_path / "out"
-    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,x,2",
+    code = run_cli("simulate", "--n", "4", "--ratio", "5/4", "--perm", perm,
                    "--tmax", "5", "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --perm") and "'3,1,x,2'" in err
+    assert err.startswith("error: --perm") and detail in err
     assert not out.exists()
 
 

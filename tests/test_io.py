@@ -88,6 +88,12 @@ def test_spacetime_writer_refuses_a_wrong_row_count(tmp_path, rows):
             write(block)
 
 
+def test_pgm_writer_of_any_width_constructs(tmp_path):
+    # Only a csv writer builds a row template; one 10**17 cells wide would not fit.
+    writer = SpaceTimeWriter(tmp_path / "x.pgm", (2, 10**17))
+    assert (writer.rows, writer.width) == (2, 10**17)
+
+
 @pytest.mark.parametrize("format", ["pgm", "csv"])
 def test_spacetime_writer_keeps_the_rows_in_order(tmp_path, format):
     # Rows written one call at a time land in the file as one matrix,

@@ -154,11 +154,16 @@ def test_cut_counts_match_the_dense_kernel_on_random_families(family):
                           evolve(n, ratio, 0.0, t_max, orders).cut_count)
 
 
+# A short, a repeated or an out-of-range piece, and a ragged list of orders.
+MALFORMED_ORDERS = ([(2, 1, 3)], [(3, 1, 1, 2)], [(5, 1, 4, 2)], [(3, 1, 4, 2), (2, 1)])
+
+
 def test_cut_counts_validate_their_inputs():
     with pytest.raises(ValueError):
         cut_counts(4, Ratio(3, 2), 5, [])
-    with pytest.raises(ValueError):
-        cut_counts(4, Ratio(3, 2), 5, [(2, 1, 3)])
+    for orders in MALFORMED_ORDERS:
+        with pytest.raises(ValueError):
+            cut_counts(4, Ratio(3, 2), 5, orders)
     with pytest.raises(ValueError):
         cut_counts(4, Ratio(3, 2), -1, [(3, 1, 4, 2)])
 
@@ -177,6 +182,20 @@ def test_cut_counts_reach_lattices_beyond_memory():
     assert counts.dtype == np.int64 and counts.shape == (4, 4)
     assert np.all(counts[:, :2] == 8)
     assert peak < 2**20
+
+
+# The counts are the answer; beside them cut_counts keeps only the piece
+# ends' O(P N) state, and no record of every iteration's labels.
+def test_cut_counts_hold_little_beyond_their_answer():
+    orders = enumerate_allowed(6)
+    tracemalloc.start()
+    try:
+        counts = cut_counts(6, Ratio(5, 4), 1000, orders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.shape == (len(orders), 1001)
+    assert peak < 2 * counts.nbytes
 
 
 def test_cut_counts_refuse_rows_beyond_64_bits():
@@ -200,8 +219,9 @@ def test_evolve_validates_its_inputs():
     for bad_p in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             evolve(4, Ratio(3, 2), 0.0, 5, [(3, 1, 4, 2)], p=bad_p)
-    with pytest.raises(ValueError):
-        evolve(4, Ratio(3, 2), 0.0, 5, [(2, 1, 3)])
+    for orders in MALFORMED_ORDERS:
+        with pytest.raises(ValueError):
+            evolve(4, Ratio(3, 2), 0.0, 5, orders)
 
 
 # L = 3 and 19 at n = 2, r = 2/1 and n = 3, r = 3/2: the stencil's two
