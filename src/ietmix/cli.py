@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import math
 import sys
@@ -50,7 +49,7 @@ from .io import (
     write_json,
 )
 from .lattice import Protocol, Ratio, evolve, total_length
-from .permutations import enumerate_allowed, violations
+from .permutations import RULES, enumerate_allowed, screen
 from .runner import collapse, run_ensemble, steepening_report, table_one
 
 
@@ -217,6 +216,13 @@ def _require(args, *names) -> None:
             raise ValueError(f"need --{name} (flag or config)")
 
 
+def _require_ensemble(args, *names) -> None:
+    """An ensemble verb's flags: it averages over the allowed orders, and n = 2 has none."""
+    _require(args, "n", *names)
+    if args.n == 2:
+        raise ValueError("--n 2 has no allowed shuffle order; ensembles need --n 3 or more")
+
+
 def _cmd_simulate(args) -> int:
     _require(args, "n", "ratio", "perm")
     ratio = _ratio(args.ratio)
@@ -251,11 +257,12 @@ def _cmd_simulate(args) -> int:
 def _cmd_list_permutations(args) -> int:
     lines = [order_label(perm) for perm in enumerate_allowed(args.n)]
     if args.rejected:
+        orders, broken = screen(args.n)
+        rejected = broken.any(axis=1)
         lines.append("")
-        for perm in itertools.permutations(range(1, args.n + 1)):
-            broken = violations(perm)
-            if broken:
-                lines.append(f"{order_label(perm)} rejected: {', '.join(broken)}")
+        for perm, row in zip(orders[rejected].tolist(), broken[rejected].tolist()):
+            names = ", ".join(name for name, hit in zip(RULES, row) if hit)
+            lines.append(f"{order_label(perm)} rejected: {names}")
     # One write: a print per order took most of the time at n = 9.
     sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
@@ -287,7 +294,7 @@ def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
 
 
 def _cmd_sweep(args) -> int:
-    _require(args, "n")
+    _require_ensemble(args)
     runs = _ratio_runs(args)
     p = _norm_order(args)
     entries = []
@@ -338,7 +345,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    _require(args, "n")
+    _require_ensemble(args)
     p = _norm_order(args)
     grid_points = args.grid_points if args.grid_points is not None else 200
     grid_max = args.grid_max if args.grid_max is not None else 5.0
@@ -369,7 +376,7 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_stopping_time(args) -> int:
-    _require(args, "n", "ratio", "pe")
+    _require_ensemble(args, "ratio", "pe")
     ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import StabilityError
 from .metrics import MetricSeries, mixing_norm
-from .permutations import Perm, as_permutation
+from .permutations import Perm, as_orders, as_permutation
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
 _MAX_LENGTH = 2**63 - 1
@@ -199,13 +199,8 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
 
 def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations):
     """D and T_max, checked by one Protocol, and the orders, checked at once, as (P, N) int64."""
-    orders = np.array(permutations, dtype=np.int64)  # a ragged list is a ValueError
-    if orders.ndim != 2 or not orders.size:
-        raise ValueError("ensemble needs a nonempty list of orders, all of one length")
+    orders = as_orders(permutations)
     checked = Protocol(n=n, ratio=ratio, permutation=orders[0].tolist(), d=d, t_max=t_max)
-    bad = orders[np.any(np.sort(orders, axis=1) != np.arange(1, n + 1), axis=1)]
-    if bad.size:
-        raise ValueError(f"not a permutation of 1..{n}: {bad[0].tolist()}")
     return checked.d, checked.t_max, orders
 
 

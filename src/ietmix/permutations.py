@@ -13,105 +13,95 @@ consecutive interior pieces untouched (meaningful for N > 3 only).
 
 from __future__ import annotations
 
+import numpy as np
+
 Perm = tuple[int, ...]
 
-#: Rule names as reported by :func:`violations`.
+#: Rule names as reported by :func:`violations`, in the column order of :func:`screen`.
 REDUCIBLE = "reducible"
 ROTATION = "rotation"
 FIXED_ENDPOINT = "fixed-endpoint"
 FIXED_BLOCK = "fixed-consecutive-block"
+RULES = (REDUCIBLE, ROTATION, FIXED_ENDPOINT, FIXED_BLOCK)
+
+
+def as_orders(orders) -> np.ndarray:
+    """Orders as one checked (P, N) int64 array, each row a bijection of {1..N}.
+
+    Integral floats such as 2.0 pass; any other entry that is not an
+    integer makes its row fail. A refusal quotes the first bad row as given.
+    """
+    try:
+        given = np.asarray(orders)
+    except ValueError:  # a ragged list
+        given = np.empty(0)
+    if given.ndim != 2 or not len(given):
+        raise ValueError("ensemble needs a nonempty list of orders, all of one length")
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, refused below
+        rows = given.astype(np.int64)
+    n = rows.shape[1]
+    bad = np.any(np.sort(rows, axis=1) != np.arange(1, n + 1), axis=1) | (n == 0)
+    if given.dtype.kind == "f":
+        bad |= np.any(rows != given, axis=1)
+    if bad.any():
+        raise ValueError(f"not a permutation of 1..{n}: {orders[int(bad.argmax())]!r}")
+    return rows
 
 
 def as_permutation(perm) -> Perm:
     """Coerce to a tuple of ints and check it is a bijection of {1..N}."""
-    p = tuple(int(v) for v in perm)
-    if not p or sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {perm!r}")
-    return p
+    return tuple(as_orders((perm,))[0].tolist())
 
 
-def _reducible(p: Perm) -> bool:
-    """True when {pi(1..k)} = {1..k} for some k < N: the order splits into
-    sub-shuffles that never exchange material across the split."""
-    top = 0
-    for k, v in enumerate(p[:-1], start=1):
-        top = max(top, v)
-        if top == k:
-            return True
-    return False
+def _broken(orders: np.ndarray) -> np.ndarray:
+    """The (P, 4) mask of the rules each of the (P, N) valid orders breaks.
+
+    Reducible: {pi(1..k)} = {1..k} for some k < N, so the order splits
+    into sub-shuffles that never exchange material across the split.
+    A rotation has pi(k) = (k + pi(1) - 2) mod N + 1 for every k.
+    A fixed block of 2..N-2 pieces always holds an adjacent fixed pair,
+    and for N > 3 a pair already fits that window.
+    """
+    n = orders.shape[1]
+    k = np.arange(1, n + 1, dtype=np.int8)
+    fixed = orders == k
+    return np.column_stack((
+        np.any(np.maximum.accumulate(orders[:, :-1], axis=1) == k[:-1], axis=1),
+        np.all(orders == (k - 2 + orders[:, :1]) % n + 1, axis=1),
+        fixed[:, 0] | fixed[:, -1],
+        np.any(fixed[:, :-1] & fixed[:, 1:], axis=1) & (n > 3),
+    ))
 
 
-def _rotation(p: Perm) -> bool:
-    n = len(p)
-    s = p[0] - 1
-    return all(p[k] == (k + s) % n + 1 for k in range(n))
+def screen(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All n! orders of {1..n} in lexicographic order and the rules they break.
 
-
-def _fixed_endpoint(p: Perm) -> bool:
-    return p[0] == 1 or p[-1] == len(p)
-
-
-def _fixed_block(p: Perm) -> bool:
-    """A fixed block of 2..N-2 pieces always holds an adjacent fixed pair,
-    and for N > 3 a pair already fits that window."""
-    n = len(p)
-    if n <= 3:
-        return False
-    return any(p[i] == i + 1 and p[i + 1] == i + 2 for i in range(n - 1))
-
-
-#: Each rule's name and its check on an already validated order.
-_RULES = (
-    (REDUCIBLE, _reducible),
-    (ROTATION, _rotation),
-    (FIXED_ENDPOINT, _fixed_endpoint),
-    (FIXED_BLOCK, _fixed_block),
-)
+    Returns the (n!, n) int8 orders and their (n!, 4) mask, one column
+    per rule in RULES order. The orders starting with v are those of
+    {1..n-1} with every piece from v on renumbered one up.
+    """
+    if not 2 <= n <= 9:
+        raise ValueError(f"piece count must be in 2..9, got {n}")
+    orders = np.ones((1, 1), dtype=np.int8)
+    for m in range(2, n + 1):
+        head = np.repeat(np.arange(1, m + 1, dtype=np.int8), len(orders))[:, None]
+        tail = np.tile(orders, (m, 1))
+        tail += tail >= head
+        orders = np.hstack((head, tail))
+    return orders, _broken(orders)
 
 
 def violations(perm) -> tuple[str, ...]:
     """Names of every rule the order breaks; empty tuple when allowed."""
-    p = as_permutation(perm)
-    return tuple(name for name, broken in _RULES if broken(p))
+    row = _broken(as_orders((perm,)))[0]
+    return tuple(name for name, broken in zip(RULES, row) if broken)
 
 
 def enumerate_allowed(n: int) -> list[Perm]:
     """All allowed orders of {1..n}, in lexicographic order.
 
     The fixed ordering keeps ensemble averages reproducible run to run.
-    Orders are built slot by slot, each slot taking the unused pieces in
-    ascending order, and a prefix is abandoned as soon as it is
-    reducible (its largest piece equals its length) or, for n > 3, ends
-    in an adjacent fixed pair. A fixed first or last piece always makes
-    a reducible prefix, so only rotations are left to reject among the
-    complete orders. The result equals filtering all n! orders with
-    violations, in the same order.
     """
-    if not 2 <= n <= 9:
-        raise ValueError(f"piece count must be in 2..9, got {n}")
-    rotations = {tuple((k + s) % n + 1 for k in range(n)) for s in range(n)}
-    check_pairs = n > 3
-    prefix: list[int] = []
-    unused = list(range(1, n + 1))
-    allowed: list[Perm] = []
-
-    def extend(k: int, top: int) -> None:
-        # k slots are filled and their largest piece is top.
-        if k == n - 1:
-            p = (*prefix, unused[0])
-            if p not in rotations:
-                allowed.append(p)
-            return
-        pair_ends_here = check_pairs and k > 0 and prefix[-1] == k
-        for i, v in enumerate(unused):
-            new_top = max(top, v)
-            if new_top == k + 1 or (pair_ends_here and v == k + 1):
-                continue
-            prefix.append(v)
-            del unused[i]
-            extend(k + 1, new_top)
-            unused.insert(i, v)
-            prefix.pop()
-
-    extend(0, 0)
-    return allowed
+    orders, broken = screen(n)
+    # Viewed as n int8 fields, each row lists as one tuple of ints.
+    return orders[~broken.any(axis=1)].view([("", np.int8)] * n).ravel().tolist()

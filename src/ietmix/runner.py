@@ -18,7 +18,7 @@ from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
 from .lattice import Ratio, cut_counts, evolve, initial_field, total_length
 from .metrics import MetricSeries, mixing_norm
-from .permutations import Perm, enumerate_allowed
+from .permutations import as_orders, enumerate_allowed
 from .stopping import StoppingTimeSolution, solve_stopping_time
 
 
@@ -26,6 +26,7 @@ from .stopping import StoppingTimeSolution, solve_stopping_time
 class EnsembleResult:
     """Mixing behavior of one protocol family across shuffle orders.
 
+    permutations is the checked (P, N) int64 array of the orders and
     series holds the (P, T+1) metric arrays, row k for permutations[k],
     and the rest is derived from it on read. Averages are means over the
     orders in the listed order, so they are bit-reproducible. A diffusive
@@ -40,7 +41,7 @@ class EnsembleResult:
     d: float
     t_max: int
     p: float
-    permutations: tuple[Perm, ...]
+    permutations: np.ndarray
     series: MetricSeries
 
     @property
@@ -85,18 +86,16 @@ def run_ensemble(
     ends. runs=False leaves the cut counts and runs out of the series,
     and evolve skips its run scan.
     """
-    if permutations is None:
-        permutations = enumerate_allowed(n)
-    perms = tuple(tuple(int(v) for v in q) for q in permutations)
+    orders = as_orders(enumerate_allowed(n) if permutations is None else permutations)
     if d == 0.0:
-        counts = cut_counts(n, ratio, t_max, perms)  # also checks the orders
+        counts = cut_counts(n, ratio, t_max, orders)  # also checks n and t_max
         field = initial_field(n, ratio)
         cbar = float(field.mean())
         norms = np.full(counts.shape, mixing_norm(field, cbar, p))
         series = MetricSeries(counts if runs else None, None, norms, float(p), cbar)
     else:
-        series = evolve(n, ratio, d, t_max, perms, p=p, runs=runs)
-    return EnsembleResult(n, ratio, float(d), int(t_max), float(p), perms, series)
+        series = evolve(n, ratio, d, t_max, orders, p=p, runs=runs)
+    return EnsembleResult(n, ratio, float(d), int(t_max), float(p), orders, series)
 
 
 @dataclass(frozen=True)

@@ -483,16 +483,34 @@ def test_budget_too_short_to_fit_is_refused_before_any_run(tmp_path, capsys, ver
     assert not out.exists()
 
 
-def test_list_permutations_rejected_output_unchanged(capsys):
-    # Digest of the full n = 5 listing as printed by the all-orders filter
-    # that preceded the pruned generator: 62 allowed, a blank line, 58 rejected.
-    assert run_cli("list-permutations", "--n", "5", "--rejected") == 0
+# Digests of the full listings as printed by the all-orders filter that
+# preceded the pruned generator (n = 5) and by the pruned generator (n = 9):
+# the allowed orders, a blank line, then the rejected ones.
+@pytest.mark.parametrize("n, allowed, total, first, digest", [
+    (5, 62, 121, "23514", "1d55d97826d037db7dd9b089bf349780aead21dae3242265b19bab7657642d97"),
+    (9, 255_276, 362_881, "234567918",
+     "c1114698f26fc8e0fb41c7cb2d9167cf3d248bd982133dec64d38fdba06fa4c2"),
+], ids=["n5", "n9"])
+def test_list_permutations_rejected_output_unchanged(capsys, n, allowed, total, first, digest):
+    assert run_cli("list-permutations", "--n", str(n), "--rejected") == 0
     out = capsys.readouterr().out
     lines = out.splitlines()
-    assert len(lines) == 121 and lines[62] == "" and lines[0] == "23514"
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1d55d97826d037db7dd9b089bf349780aead21dae3242265b19bab7657642d97"
-    )
+    assert len(lines) == total and lines[allowed] == "" and lines[0] == first
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# n = 2 has no allowed order, so an ensemble verb refuses it before any run.
+@pytest.mark.parametrize("verb, flags", [
+    ("sweep", ["--ratio", "3/2", "--tmax", "5"]),
+    ("collapse", ["--ratio", "3/2", "--tmax", "20", "--d", "0.5"]),
+    ("stopping-time", ["--ratio", "3/2", "--tmax", "20", "--pe", "10"]),
+], ids=["sweep", "collapse", "stopping-time"])
+def test_ensemble_verbs_refuse_two_pieces_by_flag(tmp_path, capsys, verb, flags):
+    out = tmp_path / "out"
+    assert run_cli(verb, "--n", "2", *flags, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --n 2") and captured.out == ""
+    assert not out.exists()
 
 
 _SCIPY_PROBE = """

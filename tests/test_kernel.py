@@ -84,7 +84,7 @@ def test_ensemble_matches_the_reference_path(n, ratio, t_max, d, p):
     # Without diffusion the ensemble takes its cut counts from cut_counts
     # and carries no percent unmixed.
     ens = run_ensemble(n, ratio, d, t_max, p=p)
-    assert ens.permutations == tuple(orders)
+    assert np.array_equal(ens.permutations, orders)
     assert (ens.series.p, ens.series.cbar) == (got.p, got.cbar)
     carried = METRICS if d > 0.0 else tuple(m for m in METRICS if m != "percent_unmixed")
     for name in carried:
@@ -154,8 +154,10 @@ def test_cut_counts_match_the_dense_kernel_on_random_families(family):
                           evolve(n, ratio, 0.0, t_max, orders).cut_count)
 
 
-# A short, a repeated or an out-of-range piece, and a ragged list of orders.
-MALFORMED_ORDERS = ([(2, 1, 3)], [(3, 1, 1, 2)], [(5, 1, 4, 2)], [(3, 1, 4, 2), (2, 1)])
+# A short, a repeated or an out-of-range piece, a ragged list of orders, and
+# pieces that are not integers.
+MALFORMED_ORDERS = ([(2, 1, 3)], [(3, 1, 1, 2)], [(5, 1, 4, 2)], [(3, 1, 4, 2), (2, 1)],
+                    [(2.5, 4, 1, 3.9)])
 
 
 def test_cut_counts_validate_their_inputs():

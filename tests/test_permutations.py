@@ -25,7 +25,7 @@ NINE_ALLOWED = [
 def test_as_permutation_coerces_and_validates():
     assert as_permutation([3, 1, 2]) == (3, 1, 2)
     assert as_permutation((1.0, 2.0)) == (1, 2)
-    for bad in ([], [1, 1], [0, 1, 2], [2, 3], [1, 2, 4]):
+    for bad in ([], [1, 1], [0, 1, 2], [2, 3], [1, 2, 4], (2.5, 4, 1, 3.9)):
         with pytest.raises(ValueError):
             as_permutation(bad)
 
@@ -117,7 +117,8 @@ def test_allowed_sets_grow_with_piece_count():
 
 
 def test_enumeration_agrees_with_filter():
-    # The pruned generator against the plain filter over all n! orders.
+    # The renumbered n! orders, screened at once, against itertools' orders
+    # filtered one by one.
     for n in range(2, 9):
         brute = [p for p in itertools.permutations(range(1, n + 1)) if not violations(p)]
         assert enumerate_allowed(n) == brute

@@ -25,7 +25,8 @@ def small_ensemble(d=0.5, t_max=200, ratio=Ratio(3, 2)):
 
 def test_run_ensemble_defaults_to_all_allowed_orders():
     ens = run_ensemble(4, Ratio(3, 2), 0.0, 10)
-    assert ens.permutations == tuple(enumerate_allowed(4))
+    assert ens.permutations.dtype == np.int64
+    assert np.array_equal(ens.permutations, enumerate_allowed(4))
     assert ens.series.mixing_norm.shape == (9, 11)
     assert ens.avg_norm.shape == (11,)
     assert ens.fit is None and ens.t_pe is None
@@ -42,7 +43,7 @@ def test_run_ensemble_average_is_the_arithmetic_mean():
 
 def test_run_ensemble_explicit_orders():
     ens = run_ensemble(4, Ratio(3, 2), 0.0, 5, permutations=[(3, 1, 4, 2)])
-    assert ens.permutations == ((3, 1, 4, 2),)
+    assert np.array_equal(ens.permutations, [(3, 1, 4, 2)])
     assert ens.series.cut_count[0].tolist()[:3] == [3, 3, 6]
     with pytest.raises(ValueError):
         run_ensemble(4, Ratio(3, 2), 0.0, 5, permutations=[])
