@@ -13,8 +13,9 @@ Any value flag can also come from a JSON config file (--config, keys
 named like the flag destinations); explicit flags win. Config values are
 converted like the flag's own text would be, and an unknown key is an
 error. A verb's files appear in --out only when the verb succeeds (see
-io.output_dir); every output gets the resolved configuration beside the
-data.
+io.output_dir). simulate writes its resolved protocol to metadata.json,
+and sweep, collapse and stopping-time their resolved flags to
+config.json; table1 --out and fit --out write only their data.
 """
 
 from __future__ import annotations
@@ -43,13 +44,13 @@ from .io import (
     export_table_one,
     fit_payload,
     json_text,
-    order_label,
+    order_labels,
     output_dir,
     protocol_metadata,
     write_json,
 )
 from .lattice import Protocol, Ratio, evolve, total_length
-from .permutations import RULES, enumerate_allowed, screen
+from .permutations import RULES, screen
 from .runner import collapse, run_ensemble, steepening_report, table_one
 
 
@@ -70,6 +71,8 @@ _PROTOCOL_FLAGS = {
 }
 _REPEATED_RATIO = {"action": "append",
                    "help": "length ratio as a fraction a/b; repeat for several ratios"}
+#: The ratios of the paper's Table 1, which table1 lists by default.
+_PAPER_RATIOS = ("5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10")
 
 
 def _add_protocol_flags(sub, *names, ratio_repeats: bool):
@@ -255,14 +258,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_list_permutations(args) -> int:
-    lines = [order_label(perm) for perm in enumerate_allowed(args.n)]
+    allowed, rejected, broken = screen(args.n)
+    lines = order_labels(allowed)
     if args.rejected:
-        orders, broken = screen(args.n)
-        rejected = broken.any(axis=1)
         lines.append("")
-        for perm, row in zip(orders[rejected].tolist(), broken[rejected].tolist()):
-            names = ", ".join(name for name, hit in zip(RULES, row) if hit)
-            lines.append(f"{order_label(perm)} rejected: {names}")
+        for label, row in zip(order_labels(rejected), broken.tolist()):
+            lines.append(f"{label} rejected: " + ", ".join(r for r, hit in zip(RULES, row) if hit))
     # One write: a print per order took most of the time at n = 9.
     sys.stdout.write("".join(f"{line}\n" for line in lines))
     return 0
@@ -409,8 +410,7 @@ def _cmd_stopping_time(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ratios = [_ratio(r) for r in (args.ratio or
-                                  ["5/4", "6/5", "7/5", "8/5", "9/5", "11/10", "13/10"])]
+    ratios = [_ratio(r) for r in args.ratio or _PAPER_RATIOS]
     if args.ref_tmax is not None and args.ref_tmax <= 0:
         raise ValueError(f"--ref-tmax must be positive, got {args.ref_tmax}")
     ref = (_ratio(args.ref_ratio or "5/4", "--ref-ratio"),
@@ -479,7 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_stopping_time)
 
     s = sub.add_parser("table1", help="lattice sizes and matched iteration budgets")
-    _add_protocol_flags(s, "--n", "--ratio", ratio_repeats=True)
+    s.add_argument("--n", type=int, help="number of pieces (2..9, default 4)")
+    s.add_argument("--ratio", action="append",
+                   help="length ratio as a fraction a/b; repeat for several ratios "
+                        f"(default: the paper's seven, {', '.join(_PAPER_RATIOS)})")
     s.add_argument("--ref-ratio", help="reference ratio (default 5/4)")
     s.add_argument("--ref-tmax", type=int, help="reference budget (default 50)")
     _add_common(s)

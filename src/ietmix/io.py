@@ -76,9 +76,10 @@ def output_dir(out=None):
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def order_label(perm) -> str:
-    """A shuffle order as its digits: (2, 4, 1, 3) -> "2413"."""
-    return "".join(map(str, perm))
+def order_labels(orders) -> list[str]:
+    """Each row of a (P, N) array of orders as its digits: (2, 4, 1, 3) -> "2413"."""
+    digits = np.asarray(orders).astype(np.uint8) + ord("0")  # pieces are 1..9
+    return digits.view(f"S{digits.shape[1]}").ravel().astype(str).tolist()
 
 
 def fit_payload(fit: FitResult) -> dict:
@@ -86,12 +87,17 @@ def fit_payload(fit: FitResult) -> dict:
             "sse": fit.sse, "converged": fit.converged}
 
 
+def _column(values, rows: int) -> list:
+    """A metric's CSV column; a metric that was not computed is left blank."""
+    return [""] * rows if values is None else values.tolist()
+
+
 def export_series(series: MetricSeries, path) -> Path:
     """Metric series as CSV with the documented column contract."""
-    return write_csv(path, SERIES_HEADER, zip(
-        series.t.tolist(), series.cut_count.tolist(), series.percent_unmixed.tolist(),
-        series.mixing_norm.tolist(), series.mean_subseg_len.tolist(),
-    ))
+    metrics = (series.cut_count, series.percent_unmixed, series.mixing_norm,
+               series.mean_subseg_len)
+    return write_csv(path, SERIES_HEADER,
+                     zip(series.t.tolist(), *(_column(v, len(series)) for v in metrics)))
 
 
 class SpaceTimeWriter:
@@ -163,11 +169,11 @@ def export_ensemble(ens: EnsembleResult, out_dir) -> Path:
     """Averaged curves, per-order norm curves, and the fit, as a directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    labels = [order_label(q) for q in ens.permutations]
+    labels = order_labels(ens.permutations)
+    averages = (ens.avg_norm, ens.avg_cut, ens.avg_subseg)
     write_csv(out / "average_curves.csv",
               ["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"],
-              zip(range(ens.t_max + 1), ens.avg_norm.tolist(), ens.avg_cut.tolist(),
-                  ens.avg_subseg.tolist()))
+              zip(range(ens.t_max + 1), *(_column(v, ens.t_max + 1) for v in averages)))
     write_csv(out / "permutation_norms.csv", ["T"] + labels,
               ([i] + row.tolist() for i, row in enumerate(ens.series.mixing_norm.T)))
     write_json(out / "ensemble.json", {

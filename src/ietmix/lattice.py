@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import StabilityError
 from .metrics import MetricSeries, mixing_norm
-from .permutations import Perm, as_orders, as_permutation
+from .permutations import Perm, as_orders, as_permutation, as_piece_count
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
 _MAX_LENGTH = 2**63 - 1
@@ -64,11 +64,6 @@ class Ratio:
         return f"{self.num}/{self.den}"
 
 
-def _check_piece_count(n: int) -> None:
-    if int(n) != n or not 2 <= n <= 9:
-        raise ValueError(f"piece count must be an integer in 2..9, got {n}")
-
-
 def subsegment_lengths(n: int, ratio: Ratio) -> np.ndarray:
     """Integer piece lengths xi * r^(j-1) for j = 1..N, xi = r_d^(N-1).
 
@@ -77,7 +72,7 @@ def subsegment_lengths(n: int, ratio: Ratio) -> np.ndarray:
     coprime as a set. Totals beyond the 64-bit budget raise CapacityError
     instead of degrading to floats.
     """
-    _check_piece_count(n)
+    n = as_piece_count(n)
     lengths = [ratio.num**j * ratio.den ** (n - 1 - j) for j in range(n)]
     if sum(lengths) > _MAX_LENGTH:
         raise CapacityError(
@@ -148,7 +143,7 @@ class Protocol:
     t_max: int = 0
 
     def __post_init__(self):
-        _check_piece_count(self.n)
+        object.__setattr__(self, "n", as_piece_count(self.n))
         perm = as_permutation(self.permutation)
         if len(perm) != self.n:
             raise ValueError(f"permutation {perm} does not act on {self.n} pieces")
@@ -198,10 +193,10 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
 
 
 def _orders(n: int, ratio: Ratio, d: float, t_max: int, permutations):
-    """D and T_max, checked by one Protocol, and the orders, checked at once, as (P, N) int64."""
+    """N, D and T_max, checked by one Protocol, and the orders, checked at once, as (P, N) int64."""
     orders = as_orders(permutations)
     checked = Protocol(n=n, ratio=ratio, permutation=orders[0].tolist(), d=d, t_max=t_max)
-    return checked.d, checked.t_max, orders
+    return checked.n, checked.d, checked.t_max, orders
 
 
 def _slots(n: int, ratio: Ratio, orders: np.ndarray):
@@ -245,7 +240,7 @@ def evolve(
     a buffer the kernel reuses, so an observer copies whatever it keeps.
     Returns one MetricSeries at norm order p holding those arrays.
     """
-    d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
+    n, d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be a finite p >= 1, got {p}")
     field, p = initial_field(n, ratio), float(p)
@@ -310,7 +305,7 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     each end's orbit is followed through the slots of _slots: the slot an
     end lies in names the piece it reaches, and its shift moves it there.
     """
-    _, t_max, orders = _orders(n, ratio, 0.0, t_max, permutations)
+    n, _, t_max, orders = _orders(n, ratio, 0.0, t_max, permutations)
     piece, start, shift = _slots(n, ratio, orders)
     bounds = np.concatenate(([0], np.cumsum(subsegment_lengths(n, ratio))))
     offsets = np.arange(len(piece))[:, None] * bounds[-1]  # the rows lie end to end

@@ -25,6 +25,17 @@ FIXED_BLOCK = "fixed-consecutive-block"
 RULES = (REDUCIBLE, ROTATION, FIXED_ENDPOINT, FIXED_BLOCK)
 
 
+def as_piece_count(n) -> int:
+    """The piece count n as an int, refused unless it is a whole number in 2..9."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count != n or not 2 <= count <= 9:
+        raise ValueError(f"piece count must be an integer in 2..9, got {n!r}")
+    return count
+
+
 def as_orders(orders) -> np.ndarray:
     """Orders as one checked (P, N) int64 array, each row a bijection of {1..N}.
 
@@ -73,22 +84,22 @@ def _broken(orders: np.ndarray) -> np.ndarray:
     ))
 
 
-def screen(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All n! orders of {1..n} in lexicographic order and the rules they break.
+def screen(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All n! orders of {1..n}, split into the allowed and the rejected.
 
-    Returns the (n!, n) int8 orders and their (n!, 4) mask, one column
-    per rule in RULES order. The orders starting with v are those of
-    {1..n-1} with every piece from v on renumbered one up.
+    Returns both as (P, n) int8 arrays in lexicographic order, then the
+    (P, 4) mask of the rules each rejected order breaks, in RULES order.
+    The orders starting with v are those of {1..n-1}, each piece from v on one up.
     """
-    if not 2 <= n <= 9:
-        raise ValueError(f"piece count must be in 2..9, got {n}")
     orders = np.ones((1, 1), dtype=np.int8)
-    for m in range(2, n + 1):
+    for m in range(2, as_piece_count(n) + 1):
         head = np.repeat(np.arange(1, m + 1, dtype=np.int8), len(orders))[:, None]
         tail = np.tile(orders, (m, 1))
         tail += tail >= head
         orders = np.hstack((head, tail))
-    return orders, _broken(orders)
+    broken = _broken(orders)
+    allowed = ~broken.any(axis=1)  # an order is allowed when it breaks no rule
+    return orders[allowed], orders[~allowed], broken[~allowed]
 
 
 def violations(perm) -> tuple[str, ...]:
@@ -102,6 +113,5 @@ def enumerate_allowed(n: int) -> list[Perm]:
 
     The fixed ordering keeps ensemble averages reproducible run to run.
     """
-    orders, broken = screen(n)
-    # Viewed as n int8 fields, each row lists as one tuple of ints.
-    return orders[~broken.any(axis=1)].view([("", np.int8)] * n).ravel().tolist()
+    allowed = screen(n)[0]  # one int8 field per piece lists each row as a tuple of ints
+    return allowed.view([("", np.int8)] * allowed.shape[1]).ravel().tolist()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import ietmix
+from ietmix import permutations
 from ietmix.cli import build_parser, main
 
 
@@ -187,7 +188,7 @@ def test_memory_error_without_text_prints_no_dangling_colon(capsys, monkeypatch)
     def exhausted(n):
         raise MemoryError
 
-    monkeypatch.setattr("ietmix.cli.enumerate_allowed", exhausted)
+    monkeypatch.setattr("ietmix.cli.screen", exhausted)
     assert run_cli("list-permutations", "--n", "4") == 1
     assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -497,6 +498,19 @@ def test_list_permutations_rejected_output_unchanged(capsys, n, allowed, total, 
     lines = out.splitlines()
     assert len(lines) == total and lines[allowed] == "" and lines[0] == first
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_list_permutations_screens_once(capsys, monkeypatch):
+    broken, calls = permutations._broken, []
+
+    def counted(orders):
+        calls.append(len(orders))
+        return broken(orders)
+
+    monkeypatch.setattr(permutations, "_broken", counted)
+    assert run_cli("list-permutations", "--n", "5", "--rejected") == 0
+    assert calls == [120]
+    assert len(capsys.readouterr().out.splitlines()) == 121
 
 
 # n = 2 has no allowed order, so an ensemble verb refuses it before any run.

@@ -55,6 +55,18 @@ def test_series_csv_roundtrip(tmp_path, short_fields):
     assert float(rows[3][2]) == pytest.approx(300.0 / 13)
 
 
+def test_series_csv_leaves_a_metric_not_computed_blank(tmp_path):
+    # A D = 0 ensemble row carries cut counts but no percent_unmixed.
+    series = run_ensemble(4, Ratio(3, 2), 0.0, 20).series.row(0)
+    assert series.percent_unmixed is None
+    with open(export_series(series, tmp_path / "series.csv"), newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 21
+    assert [r[1] for r in rows] == [str(c) for c in series.cut_count.tolist()]
+    assert {r[2] for r in rows} == {""}
+    assert [float(r[3]) for r in rows] == series.mixing_norm.tolist()
+
+
 def test_spacetime_pgm_layout(tmp_path, short_fields):
     path = write_raster(short_fields, tmp_path / "grid.pgm")
     blob = path.read_bytes()
@@ -142,6 +154,16 @@ def test_ensemble_bundle(tmp_path):
     assert header == ["T"] + [
         "".join(map(str, p)) for p in ens.permutations
     ]
+
+
+def test_ensemble_bundle_without_runs_leaves_their_averages_blank(tmp_path):
+    ens = run_ensemble(4, Ratio(3, 2), 0.5, 30, runs=False)
+    out = export_ensemble(ens, tmp_path / "bundle")
+    with open(out / "average_curves.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(r[1]) for r in rows] == ens.avg_norm.tolist()
+    assert {(r[2], r[3]) for r in rows} == {("", "")}
+    assert json.loads((out / "ensemble.json").read_text())["permutations"][0] == "2413"
 
 
 def test_collapse_csv_band_floor(tmp_path):

@@ -9,6 +9,7 @@ from ietmix.lattice import (
     CapacityError,
     Protocol,
     Ratio,
+    cut_counts,
     cut_positions,
     initial_field,
     iterate,
@@ -70,9 +71,14 @@ def test_capacity_guard_raises_before_wrapping():
 
 
 def test_piece_count_bounds():
-    for n in (1, 10, 3.5):
+    for n in (1, 10, 3.5, "4"):
         with pytest.raises(ValueError):
             subsegment_lengths(n, Ratio(3, 2))
+    # A whole float counts as its integer, here, in a Protocol and in the kernels.
+    assert subsegment_lengths(4.0, Ratio(3, 2)).tolist() == [8, 12, 18, 27]
+    assert type(Protocol(n=4.0, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2)).n) is int
+    assert np.array_equal(cut_counts(4.0, Ratio(3, 2), 5, [(3, 1, 4, 2)]),
+                          cut_counts(4, Ratio(3, 2), 5, [(3, 1, 4, 2)]))
 
 
 def test_initial_field_layout():
