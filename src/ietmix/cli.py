@@ -10,12 +10,14 @@ Verbs:
   table1             lattice size and matched iteration budget per ratio
 
 Any value flag can also come from a JSON config file (--config, keys
-named like the flag destinations); explicit flags win. Config values are
-converted like the flag's own text would be, and an unknown key is an
-error. A verb's files appear in --out only when the verb succeeds (see
-io.output_dir). simulate writes its resolved protocol to metadata.json,
-and sweep, collapse and stopping-time their resolved flags to
-config.json; table1 --out and fit --out write only their data.
+named like the flag destinations), converted like the flag's own text
+would be; an unknown key is an error. Each flag is settled once, before
+the verb runs: the flag, else the config, else _DEFAULTS. A bad value is
+refused before the first run and before any directory is made, and a
+verb's files appear in --out only when it succeeds (see io.output_dir).
+simulate writes its resolved protocol to metadata.json, and sweep,
+collapse and stopping-time their resolved flags to config.json; table1
+--out and fit --out write only their data.
 """
 
 from __future__ import annotations
@@ -126,13 +128,31 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, _config_value(action, key, value))
 
 
-def _check_shared_flags(args) -> None:
-    """Refuse an out-of-range --n or --p, in whichever verb takes it."""
+#: What a flag left unset by both the command line and --config reads as.
+_DEFAULTS = {"p": 2.0, "format": "pgm", "column": "mixing_norm", "grid_points": 200,
+             "grid_max": 5.0, "lm_mode": "count", "ref_ratio": "5/4", "ref_tmax": 50}
+
+
+def _resolve(args) -> None:
+    """Settle every flag of the verb, then make the checks all verbs share.
+
+    An empty list from a config counts as unset. The ensemble verbs average
+    over the allowed orders, and n = 2 has none.
+    """
+    _merge_config(args)
+    for key, value in _DEFAULTS.items():
+        if key in args.flags and getattr(args, key) is None:
+            setattr(args, key, value)
     n, p = getattr(args, "n", None), getattr(args, "p", None)
     if n is not None and not 2 <= n <= 9:
         raise ValueError(f"--n must be an integer in 2..9, got {n}")
     if p is not None and not 1.0 <= p < math.inf:
         raise ValueError(f"--p must be a finite number >= 1, got {p:g}")
+    for name in args.required:
+        if getattr(args, name) in (None, []):
+            raise ValueError(f"need --{name} (flag or config)")
+    if args.ensemble and n == 2:
+        raise ValueError("--n 2 has no allowed shuffle order; ensembles need --n 3 or more")
 
 
 def _ratio(text, flag: str = "--ratio") -> Ratio:
@@ -173,13 +193,10 @@ def _peclet(value) -> float:
     return pe
 
 
-def _require_peclet_budget(t_max: int) -> None:
+def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
+    """D for one --pe on the budget; a zero or unstable budget names the flags."""
     if t_max <= 0:
         raise ValueError(f"--pe needs a positive budget (--tmax or --tmax-from), got {t_max}")
-
-
-def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
-    """D for one --pe on the budget; an unstable pair names both flags."""
     try:
         return diffusivity_from_peclet(length, pe, t_max)
     except StabilityError:
@@ -193,45 +210,42 @@ def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
                          f"needs D > 1/2; {fix}") from None
 
 
-def _resolve_d(args, length: int, t_max: int) -> float:
-    if args.d is not None and args.pe is not None:
-        raise ValueError("--d and --pe are mutually exclusive")
-    if args.pe is not None:
-        pe = _peclet(args.pe)
-        _require_peclet_budget(t_max)
-        return _diffusivity(args, length, t_max, pe)
-    if args.d is not None and not 0.0 <= args.d <= 0.5:
-        raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
-    return args.d if args.d is not None else 0.0
+def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
+    """(ratio, L, t_max, D) of every --ratio text, all checked before any run.
 
-
-def _norm_order(args) -> float:
-    return args.p if args.p is not None else 2.0
+    A ratio may be given once, in any of its forms (3/2 or 6/4). A diffusive
+    ensemble is fitted, so its budget must give the samples a fit needs.
+    """
+    if not texts:
+        raise ValueError("need at least one --ratio")
+    ratios = [_ratio(text) for text in texts]
+    for k, ratio in enumerate(ratios):
+        if ratio in ratios[:k]:
+            raise ValueError(f"--ratio {ratio} is given more than once")
+    runs = []
+    for ratio in ratios:
+        length = total_length(args.n, ratio)
+        t_max = _resolve_tmax(args, length)
+        if args.d is not None and args.pe is not None:
+            raise ValueError("--d and --pe are mutually exclusive")
+        d = 0.0 if args.d is None else args.d
+        if args.pe is not None:
+            d = _diffusivity(args, length, t_max, _peclet(args.pe))
+        elif not 0.0 <= d <= 0.5:
+            raise ValueError(f"--d must be in the stable range [0, 1/2], got {args.d}")
+        if args.ensemble and d > 0.0 and t_max + 1 < MIN_FIT_SAMPLES:
+            raise ValueError(f"r={ratio}: tmax={t_max} gives {t_max + 1} samples, fewer than "
+                             f"the {MIN_FIT_SAMPLES} a fit needs")
+        runs.append((ratio, length, t_max, d))
+    return runs
 
 
 def _write_config(out: Path, resolved: dict) -> None:
     write_json(out / "config.json", {**resolved, "seed_of_truth": "deterministic"})
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"need --{name} (flag or config)")
-
-
-def _require_ensemble(args, *names) -> None:
-    """An ensemble verb's flags: it averages over the allowed orders, and n = 2 has none."""
-    _require(args, "n", *names)
-    if args.n == 2:
-        raise ValueError("--n 2 has no allowed shuffle order; ensembles need --n 3 or more")
-
-
 def _cmd_simulate(args) -> int:
-    _require(args, "n", "ratio", "perm")
-    ratio = _ratio(args.ratio)
-    length = total_length(args.n, ratio)
-    t_max = _resolve_tmax(args, length)
-    d = _resolve_d(args, length, t_max)
+    [(ratio, length, t_max, d)] = _runs(args, [args.ratio])
     try:
         perm = tuple(int(v) for v in str(args.perm).split(","))
     except ValueError:
@@ -242,14 +256,13 @@ def _cmd_simulate(args) -> int:
         protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     except ValueError as exc:
         raise ValueError(f"--perm: {exc}") from None
-    p = _norm_order(args)
-    fmt = args.format or "pgm"
+    fmt = args.format
     with output_dir(args.out) as out:
         with (contextlib.nullcontext() if fmt == "none" else
               SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
-            series = evolve(args.n, ratio, d, t_max, [perm], p=p, observe=raster)
+            series = evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster)
         export_series(series.row(0), out / "series.csv")
-        write_json(out / "metadata.json", protocol_metadata(protocol, p))
+        write_json(out / "metadata.json", protocol_metadata(protocol, args.p))
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
         f"d={d:g} tmax={t_max} (L={length}) -> {Path(args.out or '.')}"
@@ -269,39 +282,12 @@ def _cmd_list_permutations(args) -> int:
     return 0
 
 
-def _ratio_runs(args) -> list[tuple[Ratio, int, int, float]]:
-    """(ratio, L, t_max, D) of every --ratio, all checked before any run.
-
-    A ratio may be given once, in any of its forms (3/2 or 6/4). A
-    diffusive ensemble is fitted, so its budget must give the samples a
-    fit needs.
-    """
-    if not args.ratio:
-        raise ValueError("need at least one --ratio")
-    ratios = [_ratio(raw) for raw in args.ratio]
-    for k, ratio in enumerate(ratios):
-        if ratio in ratios[:k]:
-            raise ValueError(f"--ratio {ratio} is given more than once")
-    runs = []
-    for ratio in ratios:
-        length = total_length(args.n, ratio)
-        t_max = _resolve_tmax(args, length)
-        d = _resolve_d(args, length, t_max)
-        if d > 0.0 and t_max + 1 < MIN_FIT_SAMPLES:
-            raise ValueError(f"r={ratio}: tmax={t_max} gives {t_max + 1} samples, fewer than "
-                             f"the {MIN_FIT_SAMPLES} a fit needs")
-        runs.append((ratio, length, t_max, d))
-    return runs
-
-
 def _cmd_sweep(args) -> int:
-    _require_ensemble(args)
-    runs = _ratio_runs(args)
-    p = _norm_order(args)
+    runs = _runs(args, args.ratio)
     entries = []
     with output_dir(args.out) as out:
         for ratio, length, t_max, d in runs:
-            ens = run_ensemble(args.n, ratio, d, t_max, p=p)
+            ens = run_ensemble(args.n, ratio, d, t_max, p=args.p)
             export_ensemble(ens, out / f"r{ratio.num}_{ratio.den}")
             if ens.fit is not None:
                 entries.append((ratio, d, ens.fit))
@@ -311,12 +297,12 @@ def _cmd_sweep(args) -> int:
             )
         if entries:
             export_fit_scatter(entries, out / "fits.csv")
-        _write_config(out, {"verb": "sweep", "n": args.n, "p": p})
+        _write_config(out, {"verb": "sweep", "n": args.n, "p": args.p})
     return 0
 
 
 def _cmd_fit(args) -> int:
-    col = args.column or "mixing_norm"
+    col = args.column
     with open(args.series, newline="") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row's missing cells read ""
         for name in ("T", col):
@@ -329,10 +315,15 @@ def _cmd_fit(args) -> int:
     for k, row in enumerate(rows, start=1):
         for name, values in (("T", t), (col, y)):
             try:
-                values.append(float(row[name]))
+                value = float(row[name])
+                fault = ("not a finite number" if not math.isfinite(value) else
+                         "negative" if name == col and value < 0 else "")
             except ValueError:
+                fault = "not a number"
+            if fault:
                 raise ValueError(f"{args.series}: data row {k}, column {name!r}: "
-                                 f"not a number: {row[name]!r}") from None
+                                 f"{fault}: {row[name]!r}")
+            values.append(value)
     if args.m is not None and not 0.0 < args.m < math.inf:
         raise ValueError(f"--m must be finite and positive, got {args.m}")
     m = args.m if args.m is not None else y[0]
@@ -346,23 +337,19 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_collapse(args) -> int:
-    _require_ensemble(args)
-    p = _norm_order(args)
-    grid_points = args.grid_points if args.grid_points is not None else 200
-    grid_max = args.grid_max if args.grid_max is not None else 5.0
-    if grid_points < MIN_FIT_SAMPLES:
+    if args.grid_points < MIN_FIT_SAMPLES:
         raise ValueError(f"--grid-points must be at least {MIN_FIT_SAMPLES}, the samples "
-                         f"a fit needs, got {grid_points}")
-    if not 0.0 < grid_max < math.inf:
-        raise ValueError(f"--grid-max must be finite and positive, got {grid_max}")
-    runs = _ratio_runs(args)
+                         f"a fit needs, got {args.grid_points}")
+    if not 0.0 < args.grid_max < math.inf:
+        raise ValueError(f"--grid-max must be finite and positive, got {args.grid_max}")
+    runs = _runs(args, args.ratio)
     if any(d == 0.0 for *_, d in runs):
         raise ValueError("collapse fits diffusive ensembles only: give --d > 0 or --pe")
     ensembles = []
     for ratio, length, t_max, d in runs:
-        ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=p, runs=False))
+        ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=args.p, runs=False))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
-    cr = collapse(ensembles, grid_points=grid_points, grid_max=grid_max)
+    cr = collapse(ensembles, grid_points=args.grid_points, grid_max=args.grid_max)
     payload = {
         "tau_universal": cr.fit.tau, "alpha_universal": cr.fit.alpha,
         "sse": cr.fit.sse, "converged": cr.fit.converged,
@@ -370,34 +357,30 @@ def _cmd_collapse(args) -> int:
     with output_dir(args.out) as out:
         export_collapse(cr, out / "collapse.csv")
         write_json(out / "universal_fit.json", payload)
-        _write_config(out, {"verb": "collapse", "n": args.n, "p": p,
-                            "grid_points": grid_points, "grid_max": grid_max})
+        _write_config(out, {"verb": "collapse", "n": args.n, "p": args.p,
+                            "grid_points": args.grid_points, "grid_max": args.grid_max})
     print(json_text(payload))
     return 0
 
 
 def _cmd_stopping_time(args) -> int:
-    _require_ensemble(args, "ratio", "pe")
     ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
-    _require_peclet_budget(t_max)
     pes = sorted(_peclet(v) for v in args.pe)
     for a, b in zip(pes, pes[1:]):
         if a == b:
             raise ValueError(f"--pe {a:g} is given more than once")
     for pe in pes:
         _diffusivity(args, length, t_max, pe)
-    p = _norm_order(args)
-    lm_mode = args.lm_mode or "count"
     rows = steepening_report(
-        args.n, ratio, t_max, pes, p=p,
-        use_mean_lengths=lm_mode == "length", max_slopes=args.steepening,
+        args.n, ratio, t_max, pes, p=args.p,
+        use_mean_lengths=args.lm_mode == "length", max_slopes=args.steepening,
     )
     with output_dir(args.out) as out:
         export_steepening(rows, out / "stopping_times.csv")
         _write_config(out, {"verb": "stopping-time", "n": args.n, "ratio": str(ratio),
-                            "tmax": t_max, "pe": pes, "lm_mode": lm_mode,
+                            "tmax": t_max, "pe": pes, "lm_mode": args.lm_mode,
                             "steepening": args.steepening})
     for row in rows:
         sol = row.solution
@@ -411,11 +394,10 @@ def _cmd_stopping_time(args) -> int:
 
 def _cmd_table1(args) -> int:
     ratios = [_ratio(r) for r in args.ratio or _PAPER_RATIOS]
-    if args.ref_tmax is not None and args.ref_tmax <= 0:
+    if args.ref_tmax <= 0:
         raise ValueError(f"--ref-tmax must be positive, got {args.ref_tmax}")
-    ref = (_ratio(args.ref_ratio or "5/4", "--ref-ratio"),
-           args.ref_tmax if args.ref_tmax is not None else 50)
-    rows = table_one(ratios, n=args.n if args.n is not None else 4, reference=ref)
+    ref = (_ratio(args.ref_ratio, "--ref-ratio"), args.ref_tmax)
+    rows = table_one(ratios, n=args.n or 4, reference=ref)  # the only verb with an optional --n
     print(f"{'r':>7} {'r_n':>4} {'xi':>6} {'L':>8} {'t_max':>8}")
     for row in rows:
         print(f"{str(row.ratio):>7} {row.r_n:>4} {row.xi:>6} {row.length:>8} {row.t_max:>8}")
@@ -431,6 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cut-and-shuffle mixing of a 1-D lattice with diffusion.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # Each verb below may declare the flags it needs and that it runs ensembles.
+    parser.set_defaults(required=(), ensemble=False)
 
     s = sub.add_parser("simulate", help="run one protocol and export its records")
     _add_protocol_flags(s, ratio_repeats=False)
@@ -439,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="space-time raster format, or none for the metric series "
                         "only (default pgm)")
     _add_common(s)
-    s.set_defaults(func=_cmd_simulate)
+    s.set_defaults(func=_cmd_simulate, required=("n", "ratio", "perm"))
 
     s = sub.add_parser("list-permutations", help="allowed shuffle orders")
     s.add_argument("--n", required=True, **_PROTOCOL_FLAGS["--n"])
@@ -450,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="ensembles over ratios, averaged curves + fits")
     _add_protocol_flags(s, ratio_repeats=True)
     _add_common(s)
-    s.set_defaults(func=_cmd_sweep)
+    s.set_defaults(func=_cmd_sweep, required=("n",), ensemble=True)
 
     s = sub.add_parser("fit", help="fit a stretched exponential to a series CSV")
     s.add_argument("--series", required=True, help="CSV produced by simulate/sweep")
@@ -464,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid-points", type=int, help="collapse grid size (default 200)")
     s.add_argument("--grid-max", type=float, help="grid end in T/T_Pe (default 5)")
     _add_common(s)
-    s.set_defaults(func=_cmd_collapse)
+    s.set_defaults(func=_cmd_collapse, required=("n",), ensemble=True)
 
     s = sub.add_parser("stopping-time", help="Batchelor stopping times over a Peclet sweep")
     _add_protocol_flags(s, "--n", "--ratio", "--tmax", "--tmax-from", "--p",
@@ -476,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--steepening", action="store_true",
                    help="also run diffusive ensembles and report max slopes")
     _add_common(s)
-    s.set_defaults(func=_cmd_stopping_time)
+    s.set_defaults(func=_cmd_stopping_time, required=("n", "ratio", "pe"), ensemble=True)
 
     s = sub.add_parser("table1", help="lattice sizes and matched iteration budgets")
     s.add_argument("--n", type=int, help="number of pieces (2..9, default 4)")
@@ -499,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _merge_config(args)
-        _check_shared_flags(args)
+        _resolve(args)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
 from .lattice import Ratio, cut_counts, evolve, initial_field, total_length
 from .metrics import MetricSeries, mixing_norm
-from .permutations import as_orders, screen
+from .permutations import as_orders, as_piece_count, screen
 from .stopping import StoppingTimeSolution, solve_stopping_time
 
 
@@ -86,6 +86,7 @@ def run_ensemble(
     ends. runs=False leaves the cut counts and runs out of the series,
     and evolve skips its run scan.
     """
+    n = as_piece_count(n)
     orders = as_orders(screen(n)[0] if permutations is None else permutations)
     if d == 0.0:
         counts = cut_counts(n, ratio, t_max, orders)  # also checks n and t_max

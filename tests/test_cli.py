@@ -199,6 +199,8 @@ def test_every_flag_of_every_verb_has_help():
     silent = [(verb, action.option_strings) for verb, sub in verbs.choices.items()
               for action in sub._actions if action.dest != "help" and not action.help]
     assert silent == []
+    for sub in [parser, *verbs.choices.values()]:
+        sub.format_help()  # a stray % in a help string fails here, not at --help
 
 
 def test_sweep_exports_bundles_and_scatter(tmp_path, capsys):
@@ -471,6 +473,18 @@ def test_fit_names_the_file_row_and_column_of_a_bad_cell(tmp_path, capsys):
     assert "'abc'" in err
 
 
+@pytest.mark.parametrize("rows, detail", [
+    ("0,0.5\n1,nan\n", "data row 2, column 'mixing_norm': not a finite number: 'nan'"),
+    ("0,0.5\n1,-0.01\n", "data row 2, column 'mixing_norm': negative: '-0.01'"),
+    ("0,0.5\ninf,0.2\n", "data row 2, column 'T': not a finite number: 'inf'"),
+], ids=["nan-value", "negative-value", "inf-time"])
+def test_fit_names_a_non_finite_or_negative_cell(tmp_path, capsys, rows, detail):
+    path = tmp_path / "series.csv"
+    path.write_text("T,mixing_norm\n" + rows + "".join(f"{t},0.1\n" for t in range(2, 8)))
+    assert run_cli("fit", "--series", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {path}: {detail}\n"
+
+
 @pytest.mark.parametrize("verb", ["sweep", "collapse"])
 def test_budget_too_short_to_fit_is_refused_before_any_run(tmp_path, capsys, verb):
     # 9/5 gets 21 samples; 5/4 (L = 369) gets tmax = 2, three samples.
@@ -559,16 +573,54 @@ def test_scipy_is_loaded_only_by_verbs_that_fit(tmp_path, argv, loads_scipy):
     assert proc.stdout.splitlines()[-1] == f"False {loads_scipy} 0"
 
 
-def test_config_sets_defaulted_and_repeatable_flags(tmp_path):
-    base = ["stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "500"]
-    assert run_cli(*base, "--pe", "8000", "--lm-mode", "length",
-                   "--out", str(tmp_path / "flag")) == 0
+# Every verb that takes --config: the flags it is run with, and a config that
+# sets its defaulted flags away from their defaults and its repeatable flags.
+_CONFIG_RUNS = {
+    "simulate": (["simulate", "--n", "4", "--tmax", "20"],
+                 {"ratio": "3/2", "perm": "3,1,4,2", "d": 0.5, "p": 3, "format": "csv"}),
+    "sweep": (["sweep", "--n", "4", "--tmax", "20"],
+              {"ratio": ["3/2", "5/4"], "d": 0.5, "p": 3}),
+    "fit": (["fit", "--series", "{series}"], {"column": "other", "m": 2}),
+    "collapse": (["collapse", "--n", "4", "--tmax-from", "65,100"],
+                 {"ratio": ["3/2", "5/4"], "d": 0.5, "p": 3, "grid_points": 50,
+                  "grid_max": 3}),
+    "stopping-time": (["stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "500"],
+                      {"lm_mode": "length", "pe": [8000, 4000]}),
+    "table1": (["table1"], {"n": 5, "ratio": ["6/5", "9/5"], "ref_ratio": "6/5",
+                            "ref_tmax": 100}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_CONFIG_RUNS))
+def test_config_sets_defaulted_and_repeatable_flags(tmp_path, capsys, verb):
+    series = tmp_path / "series.csv"
+    series.write_text("T,mixing_norm,other\n" + "".join(
+        f"{t},1,{2 * 0.8 ** t:.6f}\n" for t in range(30)))
+    base, cfg = _CONFIG_RUNS[verb]
+    base = [arg.format(series=series) for arg in base]
+    flags = [text for key, value in cfg.items()
+             for item in (value if isinstance(value, list) else [value])
+             for text in (f"--{key.replace('_', '-')}", str(item))]
+    assert run_cli(*base, *flags, "--out", str(tmp_path / "flag")) == 0
     cfg_path = tmp_path / "job.json"
-    cfg_path.write_text(json.dumps({"lm_mode": "length", "pe": [8000]}))
+    cfg_path.write_text(json.dumps(cfg))
     assert run_cli(*base, "--config", str(cfg_path), "--out", str(tmp_path / "cfg")) == 0
-    assert ((tmp_path / "cfg" / "stopping_times.csv").read_bytes()
-            == (tmp_path / "flag" / "stopping_times.csv").read_bytes())
-    assert json.loads((tmp_path / "cfg" / "config.json").read_text())["lm_mode"] == "length"
+
+    def files(out):
+        return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+    assert files(tmp_path / "cfg") == files(tmp_path / "flag") != {}
+
+
+def test_empty_list_from_a_config_is_a_missing_flag(tmp_path, capsys):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"pe": []}))
+    out = tmp_path / "out"
+    code = run_cli("stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+                   "--config", str(cfg_path), "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == "error: need --pe (flag or config)\n"
+    assert not out.exists()
 
 
 def test_collapse_refuses_diffusion_free_ensembles_before_any_run(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Ensemble averaging, rescaled collapse, steepening sweep, size table."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ietmix import runner
 from ietmix.cli import main
 from ietmix.fitting import efolding_time
+from ietmix.io import export_ensemble
 from ietmix.lattice import Ratio
 from ietmix.permutations import enumerate_allowed
 from ietmix.runner import (
@@ -140,6 +142,13 @@ def test_ensemble_result_is_frozen():
 def test_ensemble_result_stores_its_inputs_and_series_only():
     names = [field.name for field in dataclasses.fields(EnsembleResult)]
     assert names == ["n", "ratio", "d", "t_max", "p", "permutations", "series"]
+
+
+def test_run_ensemble_stores_the_checked_piece_count(tmp_path):
+    ens = run_ensemble(4.0, Ratio(3, 2), 0.0, 3)
+    assert type(ens.n) is int and ens.n == 4
+    export_ensemble(ens, tmp_path)
+    assert type(json.loads((tmp_path / "ensemble.json").read_text())["n"]) is int
 
 
 @pytest.mark.parametrize("d, runs", [(0.0, True), (0.5, False)], ids=["d0", "no-runs"])
