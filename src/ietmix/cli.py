@@ -210,20 +210,26 @@ def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
                          f"needs D > 1/2; {fix}") from None
 
 
-def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
-    """(ratio, L, t_max, D) of every --ratio text, all checked before any run.
-
-    A ratio may be given once, in any of its forms (3/2 or 6/4). A diffusive
-    ensemble is fitted, so its budget must give the samples a fit needs.
-    """
-    if not texts:
-        raise ValueError("need at least one --ratio")
+def _ratios(texts) -> list[Ratio]:
+    """The ratios of --ratio texts; each may be given once, in any of its
+    forms (3/2 or 6/4)."""
     ratios = [_ratio(text) for text in texts]
     for k, ratio in enumerate(ratios):
         if ratio in ratios[:k]:
             raise ValueError(f"--ratio {ratio} is given more than once")
+    return ratios
+
+
+def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
+    """(ratio, L, t_max, D) of every --ratio text, all checked before any run.
+
+    A diffusive ensemble is fitted, so its budget must give the samples a
+    fit needs.
+    """
+    if not texts:
+        raise ValueError("need at least one --ratio")
     runs = []
-    for ratio in ratios:
+    for ratio in _ratios(texts):
         length = total_length(args.n, ratio)
         t_max = _resolve_tmax(args, length)
         if args.d is not None and args.pe is not None:
@@ -393,7 +399,7 @@ def _cmd_stopping_time(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ratios = [_ratio(r) for r in args.ratio or _PAPER_RATIOS]
+    ratios = _ratios(args.ratio or _PAPER_RATIOS)
     if args.ref_tmax <= 0:
         raise ValueError(f"--ref-tmax must be positive, got {args.ref_tmax}")
     ref = (_ratio(args.ref_ratio, "--ref-ratio"), args.ref_tmax)

@@ -3,14 +3,18 @@
 The mixing norm of a diffusive run relaxes like M * exp(-(T/tau)^alpha):
 tau sets the decay scale in iterations and alpha < 1 stretches the tail.
 M is pinned to the measured initial norm, so only (tau, alpha) are free.
+The bounded least-squares solve is least_squares below, a NumPy port of
+the one SciPy path the fit uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import norm
 
 #: Admissible stretching-exponent window (open below, closed above).
 ALPHA_MIN = 0.1
@@ -20,17 +24,6 @@ _TAU_FLOOR = 1e-8
 
 #: Fewest samples a fit accepts.
 MIN_FIT_SAMPLES = 5
-
-
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, with SciPy imported on the first call.
-
-    Importing SciPy takes most of the package's start-up time, so the
-    verbs that never fit do not pay for it.
-    """
-    from scipy.optimize import least_squares as solve
-
-    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,6 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
         x0=np.array([tau0, 1.0]),
         jac=jacobian,
         bounds=([_TAU_FLOOR, ALPHA_MIN + 1e-9], [np.inf, ALPHA_MAX]),
-        method="trf",
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-12,
@@ -137,3 +129,367 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
         sse=float(np.dot(res.fun, res.fun)),
         converged=bool(res.status > 0),
     )
+
+
+_EPS = np.finfo(float).eps
+
+
+def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale, max_nfev):
+    """Bounded nonlinear least squares by the trust-region reflective method.
+
+    The method is that of Branch, Coleman and Li (SIAM J. Sci. Comput. 21,
+    1999), as ``scipy.optimize.least_squares`` runs it for ``method="trf"``
+    with bounds, the linear loss, ``tr_solver="exact"``, a dense Jacobian
+    callable and an array ``x_scale``. This is that one path of SciPy 1.17,
+    ported operation for operation, so it returns SciPy's ``x``, ``fun``,
+    ``nfev`` and ``status`` bit for bit. Status 0 means max_nfev residual
+    evaluations were spent; 1-4 mean gtol, ftol, xtol, or both ftol and
+    xtol were met.
+
+    Raises ValueError, with SciPy's text, for an x0 outside the bounds, an
+    x_scale that is not finite and positive, residuals that are not finite
+    at x0 or a Jacobian that is not finite where the residuals are.
+    """
+    x0 = np.atleast_1d(x0).astype(float)
+    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
+    if not _in_bounds(x0, lb, ub):
+        raise ValueError("Initial guess is outside of provided bounds")
+    scale = np.asarray(x_scale, dtype=float)
+    if not (np.all(np.isfinite(scale)) and np.all(scale > 0)):
+        raise ValueError("`x_scale` must be 'jac' or array_like with positive numbers.")
+    scale_inv = 1 / scale
+
+    x = _strictly_feasible(x0, lb, ub, rstep=1e-10)
+    f = fun(x)
+    J = jac(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    nfev = 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+
+    v, dv = _scaling_vector(x, g, lb, ub)
+    v[dv != 0] *= scale_inv[dv != 0]
+    delta = norm(x * scale_inv / v**0.5)
+    if delta == 0:
+        delta = 1.0
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
+    alpha = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        v, dv = _scaling_vector(x, g, lb, ub)
+        g_norm = norm(g * v, ord=np.inf)
+        if g_norm < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+
+        # Coleman-Li scaling, then x_scale: the trust region lives in "hat"
+        # variables x_h = x / d.
+        v[dv != 0] *= scale_inv[dv != 0]
+        d = v**0.5 * scale
+        diag_h = g * dv * scale
+        g_h = d * g
+
+        f_augmented[:m] = f
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]
+        J_augmented[m:] = np.diag(diag_h**0.5)
+        if not np.all(np.isfinite(J_augmented)):
+            raise ValueError("array must not contain infs or NaNs")
+        U, s, Vt = np.linalg.svd(J_augmented, full_matrices=False)
+        # SciPy's svd returns the same factors Fortran-ordered. On C-ordered
+        # ones the two products below take another BLAS path and can differ
+        # in the last bits.
+        V = np.asfortranarray(Vt).T
+        uf = np.asfortranarray(U).T.dot(f_augmented)
+
+        theta = max(0.995, 1 - g_norm)  # how far a step stays off the bounds
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < max_nfev:
+            p_h, alpha = _trust_region_step(n, m, uf, s, V, delta, alpha)
+            p = d * p_h
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta)
+
+            x_new = _strictly_feasible(x + step, lb, ub, rstep=0)
+            f_new = fun(x_new)
+            nfev += 1
+            step_h_norm = norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_h_norm
+                continue
+
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            delta_new, ratio = _update_radius(
+                delta, actual_reduction, predicted_reduction,
+                step_h_norm, step_h_norm > 0.95 * delta)
+            status = _termination(
+                actual_reduction, cost, norm(step), norm(x), ratio, ftol, xtol)
+            if status is not None:
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            g = J.T.dot(f)
+
+    return _Solution(x=x, fun=f, nfev=nfev, status=0 if status is None else status)
+
+
+class _Solution(NamedTuple):
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    status: int
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
+    """The best of the trust-region step, its reflection off the first bound
+    it crosses and the scaled gradient step, each kept strictly feasible."""
+    if _in_bounds(x + p, lb, ub):
+        a, b = _quadratic_1d(J_h, g_h, p_h, diag_h)
+        return p, p_h, -(a + b)
+
+    p_stride, hits = _step_to_bound(x, p, lb, ub)
+
+    r_h = np.copy(p_h)
+    r_h[hits.astype(bool)] *= -1
+    r = d * r_h
+
+    p *= p_stride
+    p_h *= p_stride
+    x_on_bound = x + p
+
+    # The reflected direction leaves the feasible box or the trust region
+    # first; it stays (1 - theta) off a bound, as SciPy's trf does.
+    _, to_tr = _intersect_trust_region(p_h, r_h, delta)
+    to_bound, _ = _step_to_bound(x_on_bound, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        if r_stride == to_bound:
+            r_stride_u = theta * to_bound
+        else:
+            r_stride_u = to_tr
+    else:
+        r_stride_l = 0
+        r_stride_u = -1
+
+    if r_stride_l <= r_stride_u:
+        a, b, c = _quadratic_1d(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic_1d(a, b, r_stride_l, r_stride_u, c=c)
+        r_h *= r_stride
+        r_h += p_h
+        r = r_h * d
+    else:
+        r_value = np.inf
+
+    p *= theta
+    p_h *= theta
+    a, b = _quadratic_1d(J_h, g_h, p_h, diag_h)
+    p_value = a + b  # the quadratic at t = 1
+
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = delta / norm(ag_h)
+    to_bound, _ = _step_to_bound(x, ag, lb, ub)
+    if to_bound < to_tr:
+        ag_stride = theta * to_bound
+    else:
+        ag_stride = to_tr
+    a, b = _quadratic_1d(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic_1d(a, b, 0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    elif r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    else:
+        return ag, ag_h, -ag_value
+
+
+def _trust_region_step(n, m, uf, s, V, delta, alpha):
+    """More's trust-region solve on the SVD J = U diag(s) V^T, uf = U^T f.
+
+    Returns the step p, with (J^T J + alpha I) p = -J^T f and |p| <= delta,
+    and alpha, which starts from the previous solve's value. At most 10
+    root-finding steps bring |p| within 1% of delta.
+    """
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        phi = p_norm - delta
+        phi_prime = -np.sum(suf ** 2 / denom**3) / p_norm
+        return phi, phi_prime
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= delta:
+            return p, 0.0
+
+    alpha_upper = norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= delta / norm(p)  # onto the trust-region boundary exactly
+    return p, alpha
+
+
+def _update_radius(delta, actual_reduction, predicted_reduction, step_norm, bound_hit):
+    """The next trust-region radius, and the actual/predicted reduction ratio."""
+    if predicted_reduction > 0:
+        ratio = actual_reduction / predicted_reduction
+    elif predicted_reduction == actual_reduction == 0:
+        ratio = 1
+    else:
+        ratio = 0
+    if ratio < 0.25:
+        delta = 0.25 * step_norm
+    elif ratio > 0.75 and bound_hit:
+        delta *= 2.0
+    return delta, ratio
+
+
+def _termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
+    """Status 2 (ftol), 3 (xtol) or 4 (both) once a step meets them, else None."""
+    ftol_satisfied = dF < ftol * F and ratio > 0.25
+    xtol_satisfied = dx_norm < xtol * (xtol + x_norm)
+    if ftol_satisfied and xtol_satisfied:
+        return 4
+    elif ftol_satisfied:
+        return 2
+    elif xtol_satisfied:
+        return 3
+    return None
+
+
+def _quadratic_1d(J, g, s, diag, s0=None):
+    """Coefficients of f(t) = 0.5 (s0 + t s)^T (J^T J + diag) (s0 + t s)
+    + g^T (s0 + t s): (a, b) for t^2 and t, and the constant c with s0."""
+    v = J.dot(s)
+    a = np.dot(v, v)
+    a += np.dot(s * diag, s)
+    a *= 0.5
+    b = np.dot(g, s)
+    if s0 is None:
+        return a, b
+    u = J.dot(s0)
+    b += np.dot(u, v)
+    c = 0.5 * np.dot(u, u) + np.dot(g, s0)
+    b += np.dot(s0 * diag, s)
+    c += 0.5 * np.dot(s0 * diag, s0)
+    return a, b, c
+
+
+def _minimize_quadratic_1d(a, b, lb, ub, c=0):
+    """Minimum point and value of a t^2 + b t + c on the finite [lb, ub]."""
+    t = [lb, ub]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if lb < extremum < ub:
+            t.append(extremum)
+    t = np.asarray(t)
+    y = t * (a * t + b) + c
+    min_index = np.argmin(y)
+    return t[min_index], y[min_index]
+
+
+def _intersect_trust_region(x, s, delta):
+    """Both roots t of |x + t s| = delta, smaller first."""
+    a = np.dot(s, s)
+    if a == 0:
+        raise ValueError("`s` is zero.")
+    b = np.dot(x, s)
+    c = np.dot(x, x) - delta**2
+    if c > 0:
+        raise ValueError("`x` is not within the trust region.")
+    d = np.sqrt(b*b - a*c)  # root of a quarter of the discriminant
+    q = -(b + math.copysign(d, b))  # no cancellation (Numerical Recipes)
+    t1 = q / a
+    t2 = c / q
+    return (t1, t2) if t1 < t2 else (t2, t1)
+
+
+def _in_bounds(x, lb, ub):
+    return np.all((x >= lb) & (x <= ub))
+
+
+def _step_to_bound(x, s, lb, ub):
+    """The least t >= 0 putting x + t s on a bound, and per coordinate -1, 1
+    or 0 for the lower, the upper or no bound reached there."""
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
+                                     (ub - x)[non_zero] / s_non_zero)
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
+
+
+def _strictly_feasible(x, lb, ub, rstep):
+    """x moved off each bound it is within rstep (relative) of, by rstep
+    relative, or by one ulp when rstep is 0."""
+    x_new = x.copy()
+    if rstep == 0:
+        lower_mask = x <= lb
+        upper_mask = x >= ub
+        lower_mask &= ~upper_mask
+        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
+        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
+    else:
+        lower_dist = x - lb
+        upper_dist = ub - x
+        lower_threshold = rstep * np.maximum(1, np.abs(lb))
+        upper_threshold = rstep * np.maximum(1, np.abs(ub))
+        lower_mask = np.isfinite(lb) & (lower_dist <= np.minimum(upper_dist, lower_threshold))
+        upper_mask = np.isfinite(ub) & (upper_dist <= np.minimum(lower_dist, upper_threshold))
+        lower_mask &= ~upper_mask
+        x_new[lower_mask] = lb[lower_mask] + rstep * np.maximum(1, np.abs(lb[lower_mask]))
+        x_new[upper_mask] = ub[upper_mask] - rstep * np.maximum(1, np.abs(ub[upper_mask]))
+    tight_bounds = (x_new < lb) | (x_new > ub)
+    x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])
+    return x_new
+
+
+def _scaling_vector(x, g, lb, ub):
+    """Coleman-Li scaling v and its derivative dv: v is the distance to the
+    bound the gradient points away from (1 if that bound is infinite)."""
+    v = np.ones_like(x)
+    dv = np.zeros_like(x)
+    mask = (g < 0) & np.isfinite(ub)
+    v[mask] = ub[mask] - x[mask]
+    dv[mask] = -1
+    mask = (g > 0) & np.isfinite(lb)
+    v[mask] = x[mask] - lb[mask]
+    dv[mask] = 1
+    return v, dv

@@ -174,6 +174,20 @@ def test_collapse_accepts_the_fewest_grid_points(tmp_path, capsys):
     assert run_cli(*COLLAPSE_RUN, "--grid-points", "5", "--out", str(tmp_path)) == 0
 
 
+def _run_output(argv, out: Path, capsys):
+    """Exit code, stdout and every file a verb writes into out."""
+    code = run_cli(*argv, "--out", str(out))
+    return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_collapse_grid_defaults_to_200_points_up_to_5(tmp_path, capsys):
+    default = _run_output(COLLAPSE_RUN, tmp_path / "default", capsys)
+    explicit = _run_output([*COLLAPSE_RUN, "--grid-points", "200", "--grid-max", "5"],
+                           tmp_path / "explicit", capsys)
+    assert default[0] == 0
+    assert default == explicit
+
+
 def test_oversized_lattice_reports_memory_error(tmp_path, capsys):
     # L is about 9.4e16 sites: inside the 64-bit capacity, far beyond memory.
     # The kernel's first per-site array fails, and NumPy says what it asked for.
@@ -548,29 +562,67 @@ on_import = "scipy" in sys.modules
 code = main(sys.argv[1:])
 print(on_import, "scipy" in sys.modules, code)
 """
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from ietmix.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["list-permutations", "--n", "4"], False),
-    (["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "2",
-      "--d", "0.3"], False),
-    (["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
-      "--pe", "50", "--pe", "100"], False),
-    (["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
-      "--pe", "50", "--pe", "100", "--steepening"], False),
-    (["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4",
-      "--tmax-from", "65,100", "--d", "0.5"], True),
-], ids=["list-permutations", "simulate", "stopping-time", "stopping-time-steepening",
-        "collapse"])
-def test_scipy_is_loaded_only_by_verbs_that_fit(tmp_path, argv, loads_scipy):
-    # Outputs go to the working directory, tmp_path.
+def _probe(script, argv, cwd: Path):
     src = Path(ietmix.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], cwd=cwd,
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
+
+
+def _write_decay_series(path: Path) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["T", "mixing_norm"])
+        for t in range(60):
+            writer.writerow([t, 0.5 * 2.0 ** (-t / 7.0) + 0.001 * (t % 3)])
+
+
+# The fits run on NumPy alone, so no verb loads SciPy, the fitting ones
+# included.
+@pytest.mark.parametrize("argv", [
+    ["list-permutations", "--n", "4"],
+    ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "2",
+     "--d", "0.3"],
+    ["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+     "--pe", "50", "--pe", "100"],
+    ["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
+     "--pe", "50", "--pe", "100", "--steepening"],
+    ["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4",
+     "--tmax-from", "65,100", "--d", "0.5"],
+    ["fit", "--series", "decay.csv"],
+    ["sweep", "--n", "4", "--ratio", "3/2", "--tmax", "40", "--d", "0.5"],
+    ["table1"],
+], ids=["list-permutations", "simulate", "stopping-time", "stopping-time-steepening",
+        "collapse", "fit", "sweep-d", "table1"])
+def test_scipy_is_loaded_only_by_verbs_that_fit(tmp_path, argv):
+    # Outputs go to the working directory, tmp_path.
+    _write_decay_series(tmp_path / "decay.csv")
+    proc = _probe(_SCIPY_PROBE, argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"False {loads_scipy} 0"
+    assert proc.stdout.splitlines()[-1] == "False False 0"
+
+
+@pytest.mark.parametrize("argv", [
+    [*COLLAPSE_RUN, "--ratio", "5/4"],
+    ["fit", "--series", "decay.csv"],
+], ids=["collapse", "fit"])
+def test_fitting_verbs_run_with_scipy_unimportable(tmp_path, capsys, monkeypatch, argv):
+    _write_decay_series(tmp_path / "decay.csv")
+    monkeypatch.chdir(tmp_path)
+    expected = _run_output(argv, tmp_path / "with", capsys)
+    proc = _probe(_NO_SCIPY, [*argv, "--out", "without"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    without = tmp_path / "without"
+    assert expected == (0, proc.stdout, {f.name: f.read_bytes() for f in without.iterdir()})
 
 
 # Every verb that takes --config: the flags it is run with, and a config that
@@ -782,12 +834,17 @@ def test_non_numeric_peclet_names_the_flag(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("verb", ["sweep", "collapse"])
+_ENSEMBLE_FLAGS = ["--n", "4", "--d", "0.5", "--tmax", "20"]
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("sweep", _ENSEMBLE_FLAGS), ("collapse", _ENSEMBLE_FLAGS), ("table1", []),
+], ids=["sweep", "collapse", "table1"])
 @pytest.mark.parametrize("second", ["3/2", "6/4"])
-def test_repeated_ratio_is_refused_before_any_run(tmp_path, capsys, verb, second):
+def test_repeated_ratio_is_refused_before_any_run(tmp_path, capsys, verb, flags, second):
     out = tmp_path / "out"
-    code = run_cli(verb, "--n", "4", "--ratio", "3/2", "--ratio", "5/4", "--ratio", second,
-                   "--d", "0.5", "--tmax", "20", "--out", str(out))
+    code = run_cli(verb, "--ratio", "3/2", "--ratio", "5/4", "--ratio", second, *flags,
+                   "--out", str(out))
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "error: --ratio 3/2 is given more than once\n"

@@ -1,18 +1,23 @@
 """Stretched-exponential fitting and the e-folding scale."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
+from ietmix.diffusion import match_iterations
 from ietmix.fitting import (
     FitResult,
     efolding_time,
     fit_stretched_exponential,
     stretched_exponential,
 )
+from ietmix.lattice import Ratio, total_length
+from ietmix.runner import collapse, run_ensemble
 
 
 def gamma_by_quadrature(x: float) -> float:
@@ -104,3 +109,69 @@ def test_fit_self_consistency_property(tau, alpha):
     assert fit.converged
     assert fit.tau == pytest.approx(tau, rel=1e-4)
     assert fit.alpha == pytest.approx(alpha, rel=1e-4)
+
+
+# The solver is a NumPy port of SciPy's bounded trf path. conftest.py solves
+# every fit of the session with both and requires the same bytes; the tests
+# below add the fits that no other test makes.
+
+
+@pytest.fixture(scope="module")
+def benchmark_ensembles():
+    """The five ensembles of the benchmark's collapse: n = 4, D = 1/2,
+    budgets matched to 369,100."""
+    ensembles = []
+    for text in ("6/5", "5/4", "7/5", "8/5", "9/5"):
+        ratio = Ratio.parse(text)
+        t_max = match_iterations(369, 100, total_length(4, ratio))
+        ensembles.append(run_ensemble(4, ratio, 0.5, t_max, runs=False))
+    return ensembles
+
+
+@pytest.mark.parametrize("grid_points", [200, 160, 240, 280])
+def test_benchmark_collapse_fits_match_scipy(
+        benchmark_ensembles, solves_checked_against_scipy, grid_points):
+    before = len(solves_checked_against_scipy)
+    # Copies, so each ensemble fits again instead of reading its cached fit.
+    collapse([dataclasses.replace(ens) for ens in benchmark_ensembles],
+             grid_points=grid_points)
+    assert len(solves_checked_against_scipy) - before == 6  # 5 ensembles + universal
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    samples=st.integers(min_value=5, max_value=400),
+    spacing=st.sampled_from([0.5, 1.0, 3.0]),
+    tau=st.floats(min_value=0.5, max_value=2000.0),
+    alpha=st.floats(min_value=0.15, max_value=2.0),
+    m=st.floats(min_value=0.05, max_value=2.0),
+    noise=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2, 0.1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_noisy_fits_match_scipy(solves_checked_against_scipy, samples, spacing, tau,
+                                alpha, m, noise, seed):
+    t = np.arange(samples) * spacing
+    y = stretched_exponential(t, m, tau, alpha)
+    y = np.abs(y + np.random.default_rng(seed).normal(0.0, noise * m, samples))
+    assume(y.max() > y.min())
+    before = len(solves_checked_against_scipy)
+    fit_stretched_exponential(t, y, m)
+    assert len(solves_checked_against_scipy) == before + 1
+
+
+# Refusals from inside the solver keep SciPy's text; conftest.py checks that
+# SciPy refuses the same input with the same words.
+@pytest.mark.parametrize("t, y, message", [
+    ([0, 1, math.nan, 3, 4], [1, 0.5, 0.3, 0.2, 0.1],
+     "Initial guess is outside of provided bounds"),
+    ([0, 1, 2, 3, math.inf], [1, 0.9, 0.8, 0.7, 0.6],
+     "`x_scale` must be 'jac' or array_like with positive numbers."),
+    ([-1e4, 1, 2, 3, 4], [1, 0.5, 0.3, 0.2, 0.1],
+     "Residuals are not finite in the initial point."),
+    ([0, 1, 2, 3, 1.7e308], [1, 0.2, 0.1, 0.05, 0.5],
+     "array must not contain infs or NaNs"),
+], ids=["nan-time", "inf-time", "overflowing-residuals", "overflowing-jacobian"])
+def test_solver_refusals_keep_scipy_text(t, y, message):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fit_stretched_exponential(np.array(t, dtype=float), np.array(y), 1.0)
