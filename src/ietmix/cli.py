@@ -333,7 +333,10 @@ def _cmd_fit(args) -> int:
     if args.m is not None and not 0.0 < args.m < math.inf:
         raise ValueError(f"--m must be finite and positive, got {args.m}")
     m = args.m if args.m is not None else y[0]
-    fit = fit_stretched_exponential(np.array(t), np.array(y), m)
+    try:
+        fit = fit_stretched_exponential(np.array(t), np.array(y), m)
+    except ValueError as exc:  # finite cells can still overflow the solve
+        raise ValueError(f"{args.series}: {exc}") from None
     payload = fit_payload(fit)
     print(json_text(payload))
     if args.out:

@@ -25,6 +25,14 @@ _TAU_FLOOR = 1e-8
 #: Fewest samples a fit accepts.
 MIN_FIT_SAMPLES = 5
 
+# The solve's fixed settings, read by least_squares: the bounds on (tau,
+# alpha), the one tolerance of its three stopping tests (ftol, xtol and
+# gtol) and its cap on residual evaluations.
+_LOWER = np.array([_TAU_FLOOR, ALPHA_MIN + 1e-9])
+_UPPER = np.array([np.inf, ALPHA_MAX])
+_TOL = 1e-12
+_MAX_NFEV = 500
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -79,8 +87,9 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
     function evaluations. A fit that exhausts the cap is returned with
     converged=False rather than raised.
 
-    Raises ValueError for fewer than 5 samples, an m or values that are
-    negative or not finite, or a flat curve (no decay to fit).
+    Raises ValueError for fewer than 5 samples, times that are not
+    finite, an m or values that are negative or not finite, or a flat
+    curve (no decay to fit).
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)
@@ -88,6 +97,8 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
         raise ValueError("t and values must be matching one-dimensional arrays")
     if t.size < MIN_FIT_SAMPLES:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit, got {t.size}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if not 0.0 < m < math.inf:
         raise ValueError(f"initial norm m must be finite and positive, got {m}")
     if not np.all((y >= 0) & (y < np.inf)):
@@ -106,22 +117,13 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
         u = (t / tau) ** alpha
         e = m * np.exp(-u)
         d_tau = e * (alpha / tau) * u
-        with np.errstate(divide="ignore"):
-            log_term = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0) / tau), 0.0)
+        log_term = np.where(t > 0.0, np.log(np.where(t > 0.0, t, 1.0) / tau), 0.0)
         d_alpha = -e * u * log_term
         return np.column_stack([d_tau, d_alpha])
 
-    res = least_squares(
-        residual,
-        x0=np.array([tau0, 1.0]),
-        jac=jacobian,
-        bounds=([_TAU_FLOOR, ALPHA_MIN + 1e-9], [np.inf, ALPHA_MAX]),
-        ftol=1e-12,
-        xtol=1e-12,
-        gtol=1e-12,
-        max_nfev=500,
-        x_scale=[max(tau0, 1.0), 1.0],
-    )
+    # Trial points may overflow: the solve handles that, or raises, silently.
+    with np.errstate(all="ignore"):
+        res = least_squares(residual, np.array([tau0, 1.0]), jacobian, [max(tau0, 1.0), 1.0])
     return FitResult(
         m=float(m),
         tau=float(res.x[0]),
@@ -134,32 +136,36 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
 _EPS = np.finfo(float).eps
 
 
-def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale, max_nfev):
-    """Bounded nonlinear least squares by the trust-region reflective method.
+def least_squares(fun, x0, jac, x_scale):
+    """Bounded nonlinear least squares of the fit's (tau, alpha).
 
-    The method is that of Branch, Coleman and Li (SIAM J. Sci. Comput. 21,
-    1999), as ``scipy.optimize.least_squares`` runs it for ``method="trf"``
-    with bounds, the linear loss, ``tr_solver="exact"``, a dense Jacobian
-    callable and an array ``x_scale``. This is that one path of SciPy 1.17,
-    ported operation for operation, so it returns SciPy's ``x``, ``fun``,
-    ``nfev`` and ``status`` bit for bit. Status 0 means max_nfev residual
-    evaluations were spent; 1-4 mean gtol, ftol, xtol, or both ftol and
-    xtol were met.
+    The trust-region reflective method of Branch, Coleman and Li (SIAM J.
+    Sci. Comput. 21, 1999), as ``scipy.optimize.least_squares`` runs it with
+    ``bounds=(_LOWER, _UPPER)``, ``ftol = xtol = gtol = _TOL``, ``max_nfev =
+    _MAX_NFEV``, the linear loss, ``tr_solver="exact"``, a dense Jacobian
+    callable and an array ``x_scale``. That one path of SciPy 1.17 is ported
+    operation for operation, less the branches that these settings and the
+    fit's start cannot reach, so it returns SciPy's ``x``, ``fun``, ``nfev``
+    and ``status`` bit for bit. Status 0 means the cap was spent; 1-4 mean
+    gtol, ftol, xtol, or both ftol and xtol were met.
 
     Raises ValueError, with SciPy's text, for an x0 outside the bounds, an
     x_scale that is not finite and positive, residuals that are not finite
     at x0 or a Jacobian that is not finite where the residuals are.
     """
-    x0 = np.atleast_1d(x0).astype(float)
-    lb, ub = (np.asarray(b, dtype=float) for b in bounds)
-    if not _in_bounds(x0, lb, ub):
+    x = np.atleast_1d(x0).astype(float)  # a copy: x0 is left as given
+    if not _in_bounds(x):
         raise ValueError("Initial guess is outside of provided bounds")
     scale = np.asarray(x_scale, dtype=float)
     if not (np.all(np.isfinite(scale)) and np.all(scale > 0)):
         raise ValueError("`x_scale` must be 'jac' or array_like with positive numbers.")
     scale_inv = 1 / scale
 
-    x = _strictly_feasible(x0, lb, ub, rstep=1e-10)
+    # SciPy moves x0 off each bound within 1e-10 (relative) of it. Of the fit's
+    # start only tau can be: alpha = 1.0 lies far inside its bounds, and tau has
+    # no upper bound and a lower one below 1, where 1e-10 relative is 1e-10.
+    if x[0] - _LOWER[0] <= 1e-10:
+        x[0] = _LOWER[0] + 1e-10
     f = fun(x)
     J = jac(x)
     if not np.all(np.isfinite(f)):
@@ -169,21 +175,21 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale, max_nfev):
     cost = 0.5 * np.dot(f, f)
     g = J.T.dot(f)
 
-    v, dv = _scaling_vector(x, g, lb, ub)
+    v, dv = _scaling_vector(x, g)
     v[dv != 0] *= scale_inv[dv != 0]
+    # SciPy starts from 1 when this is 0. The fit's alpha starts at 1.0, strictly
+    # inside its bounds, with scale 1, so its term alone is at least 1.
     delta = norm(x * scale_inv / v**0.5)
-    if delta == 0:
-        delta = 1.0
     f_augmented = np.zeros(m + n)
     J_augmented = np.empty((m + n, n))
     alpha = 0.0  # the Levenberg-Marquardt parameter
     status = None
     while True:
-        v, dv = _scaling_vector(x, g, lb, ub)
+        v, dv = _scaling_vector(x, g)
         g_norm = norm(g * v, ord=np.inf)
-        if g_norm < gtol:
+        if g_norm < _TOL:
             status = 1
-        if status is not None or nfev == max_nfev:
+        if status is not None or nfev == _MAX_NFEV:
             break
 
         # Coleman-Li scaling, then x_scale: the trust region lives in "hat"
@@ -208,13 +214,13 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale, max_nfev):
 
         theta = max(0.995, 1 - g_norm)  # how far a step stays off the bounds
         actual_reduction = -1
-        while actual_reduction <= 0 and nfev < max_nfev:
-            p_h, alpha = _trust_region_step(n, m, uf, s, V, delta, alpha)
+        while actual_reduction <= 0 and nfev < _MAX_NFEV:
+            p_h, alpha = _trust_region_step(m, uf, s, V, delta, alpha)
             p = d * p_h
             step, step_h, predicted_reduction = _select_step(
-                x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta)
+                x, J_h, diag_h, g_h, p, p_h, d, delta, theta)
 
-            x_new = _strictly_feasible(x + step, lb, ub, rstep=0)
+            x_new = _strictly_feasible(x + step)
             f_new = fun(x_new)
             nfev += 1
             step_h_norm = norm(step_h)
@@ -227,8 +233,7 @@ def least_squares(fun, x0, jac, bounds, ftol, xtol, gtol, x_scale, max_nfev):
             delta_new, ratio = _update_radius(
                 delta, actual_reduction, predicted_reduction,
                 step_h_norm, step_h_norm > 0.95 * delta)
-            status = _termination(
-                actual_reduction, cost, norm(step), norm(x), ratio, ftol, xtol)
+            status = _termination(actual_reduction, cost, norm(step), norm(x), ratio)
             if status is not None:
                 break
             alpha *= delta / delta_new
@@ -249,14 +254,14 @@ class _Solution(NamedTuple):
     status: int
 
 
-def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, theta):
     """The best of the trust-region step, its reflection off the first bound
     it crosses and the scaled gradient step, each kept strictly feasible."""
-    if _in_bounds(x + p, lb, ub):
+    if _in_bounds(x + p):
         a, b = _quadratic_1d(J_h, g_h, p_h, diag_h)
         return p, p_h, -(a + b)
 
-    p_stride, hits = _step_to_bound(x, p, lb, ub)
+    p_stride, hits = _step_to_bound(x, p)
 
     r_h = np.copy(p_h)
     r_h[hits.astype(bool)] *= -1
@@ -269,7 +274,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
     # The reflected direction leaves the feasible box or the trust region
     # first; it stays (1 - theta) off a bound, as SciPy's trf does.
     _, to_tr = _intersect_trust_region(p_h, r_h, delta)
-    to_bound, _ = _step_to_bound(x_on_bound, r, lb, ub)
+    to_bound, _ = _step_to_bound(x_on_bound, r)
     r_stride = min(to_bound, to_tr)
     if r_stride > 0:
         r_stride_l = (1 - theta) * p_stride / r_stride
@@ -298,7 +303,7 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
     ag_h = -g_h
     ag = d * ag_h
     to_tr = delta / norm(ag_h)
-    to_bound, _ = _step_to_bound(x, ag, lb, ub)
+    to_bound, _ = _step_to_bound(x, ag)
     if to_bound < to_tr:
         ag_stride = theta * to_bound
     else:
@@ -316,8 +321,9 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, delta, lb, ub, theta):
         return ag, ag_h, -ag_value
 
 
-def _trust_region_step(n, m, uf, s, V, delta, alpha):
-    """More's trust-region solve on the SVD J = U diag(s) V^T, uf = U^T f.
+def _trust_region_step(m, uf, s, V, delta, alpha):
+    """More's trust-region solve on the SVD J = U diag(s) V^T, uf = U^T f,
+    for a J of m rows.
 
     Returns the step p, with (J^T J + alpha I) p = -J^T f and |p| <= delta,
     and alpha, which starts from the previous solve's value. At most 10
@@ -331,7 +337,8 @@ def _trust_region_step(n, m, uf, s, V, delta, alpha):
         return phi, phi_prime
 
     suf = s * uf
-    full_rank = m >= n and s[-1] > _EPS * m * s[0]
+    # SciPy also requires m >= n here; a fit has m >= 5 residuals and n = 2.
+    full_rank = s[-1] > _EPS * m * s[0]
     if full_rank:
         p = -V.dot(uf / s)
         if norm(p) <= delta:
@@ -378,10 +385,10 @@ def _update_radius(delta, actual_reduction, predicted_reduction, step_norm, boun
     return delta, ratio
 
 
-def _termination(dF, F, dx_norm, x_norm, ratio, ftol, xtol):
+def _termination(dF, F, dx_norm, x_norm, ratio):
     """Status 2 (ftol), 3 (xtol) or 4 (both) once a step meets them, else None."""
-    ftol_satisfied = dF < ftol * F and ratio > 0.25
-    xtol_satisfied = dx_norm < xtol * (xtol + x_norm)
+    ftol_satisfied = dF < _TOL * F and ratio > 0.25
+    xtol_satisfied = dx_norm < _TOL * (_TOL + x_norm)
     if ftol_satisfied and xtol_satisfied:
         return 4
     elif ftol_satisfied:
@@ -438,58 +445,47 @@ def _intersect_trust_region(x, s, delta):
     return (t1, t2) if t1 < t2 else (t2, t1)
 
 
-def _in_bounds(x, lb, ub):
-    return np.all((x >= lb) & (x <= ub))
+def _in_bounds(x):
+    return np.all((x >= _LOWER) & (x <= _UPPER))
 
 
-def _step_to_bound(x, s, lb, ub):
+def _step_to_bound(x, s):
     """The least t >= 0 putting x + t s on a bound, and per coordinate -1, 1
     or 0 for the lower, the upper or no bound reached there."""
     non_zero = np.nonzero(s)
     s_non_zero = s[non_zero]
     steps = np.empty_like(x)
     steps.fill(np.inf)
-    with np.errstate(over="ignore"):
-        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
-                                     (ub - x)[non_zero] / s_non_zero)
+    steps[non_zero] = np.maximum((_LOWER - x)[non_zero] / s_non_zero,
+                                 (_UPPER - x)[non_zero] / s_non_zero)
     min_step = np.min(steps)
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
 
 
-def _strictly_feasible(x, lb, ub, rstep):
-    """x moved off each bound it is within rstep (relative) of, by rstep
-    relative, or by one ulp when rstep is 0."""
+def _strictly_feasible(x):
+    """x moved one ulp inside each bound it reached or crossed.
+
+    The bounds are far wider than that move, so it lands strictly inside
+    them: SciPy's midpoint clamp for bounds tighter than a move is left out.
+    """
     x_new = x.copy()
-    if rstep == 0:
-        lower_mask = x <= lb
-        upper_mask = x >= ub
-        lower_mask &= ~upper_mask
-        x_new[lower_mask] = np.nextafter(lb[lower_mask], ub[lower_mask])
-        x_new[upper_mask] = np.nextafter(ub[upper_mask], lb[upper_mask])
-    else:
-        lower_dist = x - lb
-        upper_dist = ub - x
-        lower_threshold = rstep * np.maximum(1, np.abs(lb))
-        upper_threshold = rstep * np.maximum(1, np.abs(ub))
-        lower_mask = np.isfinite(lb) & (lower_dist <= np.minimum(upper_dist, lower_threshold))
-        upper_mask = np.isfinite(ub) & (upper_dist <= np.minimum(lower_dist, upper_threshold))
-        lower_mask &= ~upper_mask
-        x_new[lower_mask] = lb[lower_mask] + rstep * np.maximum(1, np.abs(lb[lower_mask]))
-        x_new[upper_mask] = ub[upper_mask] - rstep * np.maximum(1, np.abs(ub[upper_mask]))
-    tight_bounds = (x_new < lb) | (x_new > ub)
-    x_new[tight_bounds] = 0.5 * (lb[tight_bounds] + ub[tight_bounds])
+    lower_mask = x <= _LOWER
+    upper_mask = x >= _UPPER
+    x_new[lower_mask] = np.nextafter(_LOWER[lower_mask], _UPPER[lower_mask])
+    x_new[upper_mask] = np.nextafter(_UPPER[upper_mask], _LOWER[upper_mask])
     return x_new
 
 
-def _scaling_vector(x, g, lb, ub):
+def _scaling_vector(x, g):
     """Coleman-Li scaling v and its derivative dv: v is the distance to the
-    bound the gradient points away from (1 if that bound is infinite)."""
+    bound the gradient points away from (1 if that bound is infinite; both
+    lower bounds are finite)."""
     v = np.ones_like(x)
     dv = np.zeros_like(x)
-    mask = (g < 0) & np.isfinite(ub)
-    v[mask] = ub[mask] - x[mask]
+    mask = (g < 0) & np.isfinite(_UPPER)
+    v[mask] = _UPPER[mask] - x[mask]
     dv[mask] = -1
-    mask = (g > 0) & np.isfinite(lb)
-    v[mask] = x[mask] - lb[mask]
+    mask = g > 0
+    v[mask] = x[mask] - _LOWER[mask]
     dv[mask] = 1
     return v, dv

@@ -186,8 +186,9 @@ def _norms(block: np.ndarray, work: np.ndarray, cbar: float, p: float) -> list[f
     root is Python float pow, since np.power on arrays can differ from
     the scalar pow of the single-field metric by one ulp.
     """
-    dev = np.abs(np.subtract(block, cbar, out=work), out=work)
-    powed = np.multiply(dev, dev, out=work) if p == 2 else dev**p
+    dev = np.subtract(block, cbar, out=work)
+    # x * x equals |x| * |x| in IEEE arithmetic, so p = 2 skips the abs pass.
+    powed = np.multiply(dev, dev, out=work) if p == 2 else np.abs(dev, out=work) ** p
     powed.sort(axis=1)
     return [s ** (1.0 / p) for s in (powed.sum(axis=1) / block.shape[1]).tolist()]
 

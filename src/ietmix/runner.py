@@ -65,7 +65,10 @@ class EnsembleResult:
     @cached_property
     def fit(self) -> FitResult | None:
         if self.d > 0.0:
-            return fit_stretched_exponential(np.arange(self.t_max + 1), self.avg_norm, self.m)
+            try:
+                return fit_stretched_exponential(np.arange(self.t_max + 1), self.avg_norm, self.m)
+            except ValueError as exc:
+                raise ValueError(f"r={self.ratio}, D={self.d}: {exc}") from None
         return None
 
     @property

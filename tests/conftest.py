@@ -6,8 +6,9 @@ passes and pytest swallows stdout.
 
 ietmix fits with a NumPy port of the one path of
 scipy.optimize.least_squares it needs. For the whole session, every solve
-any test makes in this process goes through the port and through SciPy, and
-the two must agree bit for bit: the same x (tau, alpha), residuals (sse),
+any test makes in this process goes through the port and through SciPy,
+given the port's fixed bounds, tolerances and evaluation cap, and the two
+must agree bit for bit: the same x (tau, alpha), residuals (sse),
 evaluation count and status (converged), or the same ValueError text.
 """
 
@@ -31,6 +32,13 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def scipy_solve(fun, x0, jac, x_scale):
+    """The SciPy solve that fitting.least_squares(fun, x0, jac, x_scale) ports."""
+    return scipy_least_squares(
+        fun, x0, jac=jac, bounds=(fitting._LOWER, fitting._UPPER), ftol=fitting._TOL,
+        xtol=fitting._TOL, gtol=fitting._TOL, x_scale=x_scale, max_nfev=fitting._MAX_NFEV)
+
+
 def _bytes(solution):
     return (np.asarray(solution.x).tobytes(), np.asarray(solution.fun).tobytes(),
             int(solution.nfev), int(solution.status))
@@ -47,15 +55,15 @@ def solves_checked_against_scipy():
     port = fitting.least_squares
     compared = []
 
-    def checked(*args, **kwargs):
+    def checked(fun, x0, jac, x_scale):
         try:
-            ours = port(*args, **kwargs)
+            ours = port(fun, x0, jac, x_scale)
         except ValueError as exc:
             with pytest.raises(ValueError) as theirs:
-                scipy_least_squares(*args, **kwargs)
+                scipy_solve(fun, x0, jac, x_scale)
             assert str(theirs.value) == str(exc)
             raise
-        assert _bytes(ours) == _bytes(scipy_least_squares(*args, **kwargs)), (
+        assert _bytes(ours) == _bytes(scipy_solve(fun, x0, jac, x_scale)), (
             "the NumPy port and SciPy solved one fit differently")
         compared.append(_bytes(ours))
         return ours

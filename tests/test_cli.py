@@ -499,6 +499,27 @@ def test_fit_names_a_non_finite_or_negative_cell(tmp_path, capsys, rows, detail)
     assert capsys.readouterr().err == f"error: {path}: {detail}\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_fit_names_its_file_when_the_solve_fails(tmp_path, capsys):
+    # A time of 1.7e308 is finite, so every cell passes; the solve overflows.
+    path = tmp_path / "series.csv"
+    path.write_text("T,mixing_norm\n0,1\n1,0.2\n2,0.1\n3,0.05\n1.7e308,0.5\n")
+    assert run_cli("fit", "--series", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {path}: array must not contain infs or NaNs\n"
+
+
+@pytest.mark.parametrize("verb, ratios", [("sweep", ["5/4"]), ("collapse", ["5/4", "3/2"])])
+def test_ensemble_that_cannot_be_fitted_names_its_ratio(tmp_path, capsys, verb, ratios):
+    # At D = 1e-320 every diffusion step rounds back to the same field.
+    out = tmp_path / "out"
+    flags = [arg for ratio in ratios for arg in ("--ratio", ratio)]
+    assert run_cli(verb, "--n", "3", *flags, "--tmax", "5", "--d", "1e-320",
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: r=5/4, D=1e-320: no decay to fit: series is constant\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["sweep", "collapse"])
 def test_budget_too_short_to_fit_is_refused_before_any_run(tmp_path, capsys, verb):
     # 9/5 gets 21 samples; 5/4 (L = 369) gets tmax = 2, three samples.
