@@ -107,11 +107,18 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted if repeatable else converted[0]
 
 
+def _open(flag: str, path, **kwargs):
+    """Open the file a flag names; a directory there is refused with both."""
+    if Path(path).is_dir():
+        raise ValueError(f"{flag} {path}: is a directory, not a file")
+    return open(path, **kwargs)
+
+
 def _merge_config(args: argparse.Namespace) -> None:
     """Fill the flags left unset from the --config file, if one is given."""
     if not getattr(args, "config", None):
         return
-    with open(args.config) as fh:
+    with _open("--config", args.config) as fh:
         try:
             cfg = json.load(fh)
         except ValueError as exc:  # also a file that is not UTF-8 text
@@ -309,12 +316,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fit(args) -> int:
     col = args.column
-    with open(args.series, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row's missing cells read ""
-        for name in ("T", col):
-            if name not in (reader.fieldnames or ()):
-                raise ValueError(f"{args.series}: no column {name!r}")
-        rows = list(reader)
+    try:
+        with _open("--series", args.series, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")  # a short row's missing cells read ""
+            for name in ("T", col):
+                if name not in (reader.fieldnames or ()):
+                    raise ValueError(f"{args.series}: no column {name!r}")
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"--series {args.series}: not UTF-8 text: {exc}") from None
     if not rows:
         raise ValueError(f"{args.series}: no data rows")
     t, y = [], []

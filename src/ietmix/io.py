@@ -101,16 +101,18 @@ def export_series(series: MetricSeries, path) -> Path:
 
 
 class SpaceTimeWriter:
-    """A space-time raster streamed to disk, one row per iteration, T = 0 first.
+    """A space-time raster streamed to disk, its rows in the order they arrive.
 
     Called with a 2-D block of rows, as lattice.evolve calls its
     observer, it writes them straight to the open file, so memory stays
-    O(L) however long the run. pgm is binary P5 with colors mapped
-    [0, 1] -> 0..255, its header written from the declared (rows, width)
-    shape; csv is the raw float matrix, the text np.savetxt writes with
-    fmt="%.17g". Use as a context manager: entering opens the file, and
-    leaving the block without an error checks that exactly the declared
-    rows arrived.
+    O(rows per call · L) however long the run. With the one order of a
+    simulate run, evolve's blocks hold consecutive iterations, so the
+    raster has one row per iteration, T = 0 first. pgm is binary P5 with
+    colors mapped [0, 1] -> 0..255, its header written from the declared
+    (rows, width) shape; csv is the raw float matrix, the text
+    np.savetxt writes with fmt="%.17g". Use as a context manager:
+    entering opens the file, and leaving the block without an error
+    checks that exactly the declared rows arrived.
     """
 
     def __init__(self, path, shape: tuple[int, int], format: str = "pgm"):

@@ -24,6 +24,8 @@ from .permutations import Perm, as_orders, as_permutation, as_piece_count
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
 _MAX_LENGTH = 2**63 - 1
+#: Bytes of states that evolve scores, and hands its observer, per call.
+_BLOCK_BYTES = 128 * 1024
 
 
 class CapacityError(OverflowError):
@@ -169,7 +171,7 @@ def _runs(block: np.ndarray, starts_mask: np.ndarray, bounds: np.ndarray):
     starts_mask is a flat boolean buffer of block.size + 1 entries whose
     every row start and last entry are set, so no run crosses a row
     boundary and the last run has an end; bounds are the flat row starts
-    0, L, ..., P * L.
+    0, L, ..., block.size.
     """
     mask = starts_mask[:-1].reshape(block.shape)
     np.not_equal(block[:, 1:], block[:, :-1], out=mask[:, 1:])
@@ -229,16 +231,22 @@ def evolve(
     of diffusion_step writes from shifted slices of own back into the
     block (work is its scratch), so each row is bit-identical to
     composing shuffle_step and diffusion_step.
-    The diagnostics of every iteration are evaluated along rows into
-    (P, T_max+1) arrays, row k equal bit for bit to compute_series on
-    the fields of permutations[k]. Without diffusion each state is a
-    permutation of the initial field, and the norm sums sorted
-    deviations, so the norm is evaluated once at T = 0. With runs=False
-    the run scan is skipped and cut_count and percent_unmixed are None.
+    Each iteration's block is the next slot of a ring of span slots,
+    span·P·L floats within _BLOCK_BYTES (a single slot when one block
+    alone exceeds it), and the diagnostics of every span iterations are
+    evaluated at once, along the rows of their slots, into (P, T_max+1)
+    arrays, row k equal bit for bit to compute_series on the fields of
+    permutations[k]. Without diffusion each state is a permutation of
+    the initial field, and the norm sums sorted deviations, so the norm
+    is evaluated once at T = 0. With runs=False the run scan is skipped
+    and cut_count and percent_unmixed are None.
 
-    observe, when given, is called with the (P, L) block after every
-    iteration, T = 0 first, once all buffers are allocated. The block is
-    a buffer the kernel reuses, so an observer copies whatever it keeps.
+    observe, when given, is called once all buffers are allocated, with
+    the (k·P, L) array of the k states of each such block of
+    iterations, iteration-major: row j·P + i holds order i at iteration
+    t0 + j. The calls cover T = 0..T_max exactly once, in order. The
+    array is a view of the ring, which the kernel reuses, so an
+    observer copies whatever it keeps.
     Returns one MetricSeries at norm order p holding those arrays.
     """
     n, d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
@@ -249,13 +257,17 @@ def evolve(
 
     _, start, shift = _slots(n, ratio, orders)
     sigma = np.arange(rows * length) + np.repeat(shift, np.diff(start, append=length).ravel())
-    block = np.empty((rows, length))
-    block[:] = field
-    own, work = np.empty_like(block), np.empty_like(block)
+    span = max(1, min(t_max + 1, _BLOCK_BYTES // (8 * rows * length)))
+    # Without diffusion the gather writes the next slot itself, so that ring needs two.
+    ring = np.empty((span if d > 0.0 else max(span, 2), rows, length))
+    ring[0] = field
+    sites, lines = ring.reshape(len(ring), -1), ring.reshape(-1, length)
+    scratch = np.empty((span * rows, length))  # the norms' buffer; its first P rows are work
+    own, work = np.empty((rows, length)), scratch[:rows]
     counts = longest = None
     if runs:
-        bounds = np.arange(rows + 1, dtype=np.intp) * length
-        starts_mask = np.empty(block.size + 1, dtype=bool)
+        bounds = np.arange(span * rows + 1, dtype=np.intp) * length
+        starts_mask = np.empty(scratch.size + 1, dtype=bool)
         starts_mask[bounds] = True
         counts = np.empty((rows, t_max + 1), dtype=np.int64)
         longest = np.empty((rows, t_max + 1), dtype=np.int64)
@@ -265,8 +277,10 @@ def evolve(
     if d == 0.0:
         norms[:] = mixing_norm(field, cbar, p)
     for t in range(t_max + 1):
+        slot = t % len(ring)
+        block = ring[slot]
         if t > 0:
-            _gather(block.reshape(-1), sigma, own)
+            _gather(sites[slot - 1], sigma, own if d > 0.0 else block)
             # c_{i+1} and c_{i-1} are shifted slices of own, closed periodically.
             if d == 0.5:
                 np.add(own[:, 2:], own[:, :-2], out=block[:, 1:-1])
@@ -280,14 +294,18 @@ def evolve(
                 np.subtract(own[:, -1], own[:, 0], out=work[:, 0])
                 np.add(block, work, out=block)
                 np.add(own, np.multiply(block, d, out=block), out=block)
-            else:
-                block, own = own, block
+        k = t % span + 1  # states in this block so far, T = t included
+        if k < span and t < t_max:
+            continue
+        # The k slots' rows, iteration-major, and their columns of the series.
+        states, done = lines[(slot + 1 - k) * rows : (slot + 1) * rows], slice(t + 1 - k, t + 1)
         if observe is not None:
-            observe(block)
+            observe(states)
         if runs:
-            counts[:, t], longest[:, t] = _runs(block, starts_mask, bounds)
+            counts.T[done].flat, longest.T[done].flat = _runs(
+                states, starts_mask[: states.size + 1], bounds[: len(states) + 1])
         if d > 0.0:
-            norms[:, t] = _norms(block, work, cbar, p)
+            norms.T[done].flat = _norms(states, scratch[: len(states)], cbar, p)
     return MetricSeries(counts, None if longest is None else 100.0 * longest / length,
                         norms, p, cbar)
 
@@ -341,10 +359,12 @@ def iterate(protocol: Protocol) -> np.ndarray:
     state; equal protocols give bit-identical fields.
     """
     fields = np.empty((protocol.t_max + 1, total_length(protocol.n, protocol.ratio)))
-    rows = iter(fields)
+    filled = 0
 
-    def observe(block):
-        next(rows)[:] = block[0]
+    def observe(block):  # one order: a row per iteration
+        nonlocal filled
+        fields[filled : filled + len(block)] = block
+        filled += len(block)
 
     evolve(protocol.n, protocol.ratio, protocol.d, protocol.t_max, [protocol.permutation],
            observe=observe)

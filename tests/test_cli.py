@@ -139,6 +139,22 @@ def test_fit_rejects_missing_column(tmp_path, capsys):
     assert err.startswith("error:") and "'mixing_norm'" in err
 
 
+def test_fit_names_a_series_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("T,mixing_norm\n0,1\n1,0.5é\n".encode("latin-1"))
+    assert run_cli("fit", "--series", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --series {path}: not UTF-8 text: 'utf-8' codec ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--series", "--config"])
+def test_a_directory_given_as_a_file_names_its_flag(tmp_path, capsys, flag):
+    argv = {"--series": ["fit"], "--config": ["fit", "--series", "unread.csv"]}[flag]
+    assert run_cli(*argv, flag, str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {flag} {tmp_path}: is a directory, not a file\n"
+
+
 @pytest.mark.parametrize("m", ["nan", "inf", "0"])
 def test_fit_rejects_bad_initial_value_naming_the_flag(tmp_path, capsys, m):
     run_cli("simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ietmix import lattice
 from ietmix.diffusion import diffusion_step
 from ietmix.lattice import (
     CapacityError,
@@ -227,7 +228,8 @@ def test_evolve_validates_its_inputs():
 
 
 # L = 3 and 19 at n = 2, r = 2/1 and n = 3, r = 3/2: the stencil's two
-# wrap-around columns are most of the lattice.
+# wrap-around columns are most of the lattice. The observer's blocks laid
+# end to end hold every state once, iteration-major.
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("n, ratio, orders", [
     (4, Ratio(5, 4), [(2, 4, 1, 3)]),
@@ -239,7 +241,42 @@ def test_observer_sees_every_state_once_in_order(n, ratio, orders, d):
     t_max = 40
     seen = []
     evolve(n, ratio, d, t_max, orders, observe=lambda block: seen.append(block.copy()))
-    assert len(seen) == t_max + 1
+    states = np.concatenate(seen)
+    assert len(states) == (t_max + 1) * len(orders)
+    states = states.reshape(t_max + 1, len(orders), -1)
     for k, q in enumerate(orders):
         want = reference_fields(Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max))
-        assert np.array_equal(np.array([block[k] for block in seen]), want)
+        assert np.array_equal(states[:, k], want)
+
+
+# The byte budget forces 1, 3 and 7 iterations per block; 41 states leave
+# the last block of 3 and of 7 partial. Each order's series and observed
+# fields must match the one-field reference path at every block edge.
+@pytest.mark.parametrize("runs", [True, False])
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("orders", [
+    [(2, 4, 1, 3)],
+    [(2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)],
+], ids=["P1", "P3"])
+@pytest.mark.parametrize("span", [1, 3, 7])
+def test_blocks_of_any_span_match_the_reference_path(monkeypatch, span, orders, d, runs):
+    n, ratio, t_max, length = 4, Ratio(5, 4), 40, 369
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * span * len(orders) * length)
+    seen = []
+    got = evolve(n, ratio, d, t_max, orders, runs=runs,
+                 observe=lambda block: seen.append(block.copy()))
+    cap = max(len(orders), lattice._BLOCK_BYTES // (8 * length))
+    assert all(len(block) <= cap for block in seen)
+    full, rest = divmod(t_max + 1, span)
+    assert [len(block) for block in seen] == [span * len(orders)] * full + (
+        [rest * len(orders)] if rest else [])
+    states = np.concatenate(seen).reshape(t_max + 1, len(orders), length)
+    for k, q in enumerate(orders):
+        fields = reference_fields(Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max))
+        assert np.array_equal(states[:, k], fields)
+        want = compute_series(fields)
+        names = METRICS if runs else ("mixing_norm",)
+        for name in names:
+            assert np.array_equal(getattr(got, name)[k], getattr(want, name)), (name, k)
+    if not runs:
+        assert got.cut_count is None and got.percent_unmixed is None
