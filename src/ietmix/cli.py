@@ -12,12 +12,15 @@ Verbs:
 Any value flag can also come from a JSON config file (--config, keys
 named like the flag destinations), converted like the flag's own text
 would be; an unknown key is an error. Each flag is settled once, before
-the verb runs: the flag, else the config, else _DEFAULTS. A bad value is
-refused before the first run and before any directory is made, and a
-verb's files appear in --out only when it succeeds (see io.output_dir).
-simulate writes its resolved protocol to metadata.json, and sweep,
-collapse and stopping-time their resolved flags to config.json; table1
---out and fit --out write only their data.
+the verb runs: the flag, else the config, else _DEFAULTS; a required
+flag (sweep and collapse need --n and a --ratio) must be one of the
+first two, and --pe stays text until _peclet converts it on every verb.
+A bad value is refused before the first run and before any directory is
+made, and a verb's files appear in --out only when it succeeds (see
+io.output_dir). _write_config writes the record of each run: simulate's
+resolved protocol to metadata.json, and the resolved flags of sweep,
+collapse and stopping-time to config.json; table1 --out and fit --out
+write only their data.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import (
-    StabilityError, diffusivity_from_peclet, match_iterations, stable_budget,
+    StabilityError, diffusivity_from_peclet, match_iterations, peclet_number, stable_budget,
 )
 from .fitting import MIN_FIT_SAMPLES, fit_stretched_exponential
 from .io import (
@@ -48,7 +51,6 @@ from .io import (
     json_text,
     order_labels,
     output_dir,
-    protocol_metadata,
     write_json,
 )
 from .lattice import Protocol, Ratio, evolve, total_length
@@ -66,7 +68,7 @@ _PROTOCOL_FLAGS = {
     "--n": {"type": int, "help": "number of pieces (2..9)"},
     "--ratio": {"help": "length ratio as a fraction a/b"},
     "--d": {"type": float, "help": "diffusivity in [0, 1/2]"},
-    "--pe": {"type": float, "help": "Peclet number (alternative to --d)"},
+    "--pe": {"help": "Peclet number (alternative to --d)"},
     "--tmax": {"type": int, "help": "iteration budget"},
     "--tmax-from": {"help": "derive the budget from a reference run, as L_ref,T_ref"},
     "--p": {"type": float, "help": "mixing-norm order (default 2)"},
@@ -108,10 +110,13 @@ def _config_value(action: argparse.Action, key: str, value):
 
 
 def _open(flag: str, path, **kwargs):
-    """Open the file a flag names; a directory there is refused with both."""
+    """Open the file a flag names; a refusal names the flag and the path."""
     if Path(path).is_dir():
         raise ValueError(f"{flag} {path}: is a directory, not a file")
-    return open(path, **kwargs)
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise OSError(f"{flag} {path}: {exc.strerror or exc}") from None
 
 
 def _merge_config(args: argparse.Namespace) -> None:
@@ -233,8 +238,6 @@ def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
     A diffusive ensemble is fitted, so its budget must give the samples a
     fit needs.
     """
-    if not texts:
-        raise ValueError("need at least one --ratio")
     runs = []
     for ratio in _ratios(texts):
         length = total_length(args.n, ratio)
@@ -253,8 +256,9 @@ def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
     return runs
 
 
-def _write_config(out: Path, resolved: dict) -> None:
-    write_json(out / "config.json", {**resolved, "seed_of_truth": "deterministic"})
+def _write_config(path: Path, record: dict) -> None:
+    """Write the record of what a verb ran, with seed_of_truth last."""
+    write_json(path, {**record, "seed_of_truth": "deterministic"})
 
 
 def _cmd_simulate(args) -> int:
@@ -266,16 +270,19 @@ def _cmd_simulate(args) -> int:
             f"--perm takes comma-separated piece numbers such as 3,1,4,2, got {args.perm!r}"
         ) from None
     try:  # --n, --d and --tmax are checked already, so the order is at fault
-        protocol = Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
+        Protocol(n=args.n, ratio=ratio, permutation=perm, d=d, t_max=t_max)
     except ValueError as exc:
         raise ValueError(f"--perm: {exc}") from None
     fmt = args.format
+    pe = peclet_number(length, d, t_max) if d > 0 and t_max > 0 else None
     with output_dir(args.out) as out:
         with (contextlib.nullcontext() if fmt == "none" else
               SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
             series = evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster)
         export_series(series.row(0), out / "series.csv")
-        write_json(out / "metadata.json", protocol_metadata(protocol, args.p))
+        _write_config(out / "metadata.json", {
+            "n": args.n, "ratio": {"num": ratio.num, "den": ratio.den}, "permutation": list(perm),
+            "d": d, "pe": pe, "tmax": t_max, "p": args.p})
     print(
         f"simulated n={args.n} r={ratio} perm={','.join(map(str, perm))} "
         f"d={d:g} tmax={t_max} (L={length}) -> {Path(args.out or '.')}"
@@ -310,7 +317,7 @@ def _cmd_sweep(args) -> int:
             )
         if entries:
             export_fit_scatter(entries, out / "fits.csv")
-        _write_config(out, {"verb": "sweep", "n": args.n, "p": args.p})
+        _write_config(out / "config.json", {"verb": "sweep", "n": args.n, "p": args.p})
     return 0
 
 
@@ -376,8 +383,9 @@ def _cmd_collapse(args) -> int:
     with output_dir(args.out) as out:
         export_collapse(cr, out / "collapse.csv")
         write_json(out / "universal_fit.json", payload)
-        _write_config(out, {"verb": "collapse", "n": args.n, "p": args.p,
-                            "grid_points": args.grid_points, "grid_max": args.grid_max})
+        _write_config(out / "config.json", {
+            "verb": "collapse", "n": args.n, "p": args.p,
+            "grid_points": args.grid_points, "grid_max": args.grid_max})
     print(json_text(payload))
     return 0
 
@@ -398,9 +406,9 @@ def _cmd_stopping_time(args) -> int:
     )
     with output_dir(args.out) as out:
         export_steepening(rows, out / "stopping_times.csv")
-        _write_config(out, {"verb": "stopping-time", "n": args.n, "ratio": str(ratio),
-                            "tmax": t_max, "pe": pes, "lm_mode": args.lm_mode,
-                            "steepening": args.steepening})
+        _write_config(out / "config.json", {
+            "verb": "stopping-time", "n": args.n, "ratio": str(ratio), "tmax": t_max,
+            "pe": pes, "lm_mode": args.lm_mode, "steepening": args.steepening})
     for row in rows:
         sol = row.solution
         if sol.found:
@@ -453,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="ensembles over ratios, averaged curves + fits")
     _add_protocol_flags(s, ratio_repeats=True)
     _add_common(s)
-    s.set_defaults(func=_cmd_sweep, required=("n",), ensemble=True)
+    s.set_defaults(func=_cmd_sweep, required=("n", "ratio"), ensemble=True)
 
     s = sub.add_parser("fit", help="fit a stretched exponential to a series CSV")
     s.add_argument("--series", required=True, help="CSV produced by simulate/sweep")
@@ -467,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grid-points", type=int, help="collapse grid size (default 200)")
     s.add_argument("--grid-max", type=float, help="grid end in T/T_Pe (default 5)")
     _add_common(s)
-    s.set_defaults(func=_cmd_collapse, required=("n",), ensemble=True)
+    s.set_defaults(func=_cmd_collapse, required=("n", "ratio"), ensemble=True)
 
     s = sub.add_parser("stopping-time", help="Batchelor stopping times over a Peclet sweep")
     _add_protocol_flags(s, "--n", "--ratio", "--tmax", "--tmax-from", "--p",

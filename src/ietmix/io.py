@@ -19,9 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diffusion import peclet_number
 from .fitting import FitResult
-from .lattice import Protocol, total_length
 from .metrics import MetricSeries
 from .runner import CollapseResult, EnsembleResult
 
@@ -148,23 +146,6 @@ class SpaceTimeWriter:
                                  f"got {self._written}")
         finally:
             self._fh.close()
-
-
-def protocol_metadata(protocol: Protocol, p: float = 2.0) -> dict:
-    """Resolved-run description embedded beside every output."""
-    pe = None
-    if protocol.d > 0 and protocol.t_max > 0:
-        pe = peclet_number(total_length(protocol.n, protocol.ratio), protocol.d, protocol.t_max)
-    return {
-        "n": protocol.n,
-        "ratio": {"num": protocol.ratio.num, "den": protocol.ratio.den},
-        "permutation": list(protocol.permutation),
-        "d": protocol.d,
-        "pe": pe,
-        "tmax": protocol.t_max,
-        "p": p,
-        "seed_of_truth": "deterministic",
-    }
 
 
 def export_ensemble(ens: EnsembleResult, out_dir) -> Path:

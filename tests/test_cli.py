@@ -60,6 +60,7 @@ def test_simulate_writes_series_raster_metadata(tmp_path, capsys):
     assert (tmp_path / "spacetime.pgm").exists()
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["tmax"] == 2 and meta["d"] == 0.0
+    assert meta["pe"] is None  # no diffusion, no Peclet number
     with open(tmp_path / "series.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[3][1] == "6"  # cut count after two shuffles
@@ -81,8 +82,11 @@ def test_simulate_resolves_peclet_to_diffusivity(tmp_path):
         "--tmax", "500", "--pe", "2000", "--format", "none", "--out", str(tmp_path),
     )
     meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["ratio"] == {"num": 6, "den": 5}
+    assert meta["permutation"] == [2, 4, 1, 3]
     assert meta["d"] == pytest.approx(0.450241)
     assert meta["pe"] == pytest.approx(2000.0)
+    assert meta["seed_of_truth"] == "deterministic"
 
 
 def test_simulate_tmax_from_reference(tmp_path):
@@ -153,6 +157,14 @@ def test_a_directory_given_as_a_file_names_its_flag(tmp_path, capsys, flag):
     argv = {"--series": ["fit"], "--config": ["fit", "--series", "unread.csv"]}[flag]
     assert run_cli(*argv, flag, str(tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {flag} {tmp_path}: is a directory, not a file\n"
+
+
+@pytest.mark.parametrize("flag", ["--series", "--config"])
+def test_a_missing_file_names_its_flag(tmp_path, capsys, flag):
+    missing = tmp_path / "missing"
+    argv = {"--series": ["fit"], "--config": ["sweep", "--n", "4"]}[flag]
+    assert run_cli(*argv, flag, str(missing)) == 1
+    assert capsys.readouterr().err == f"error: {flag} {missing}: No such file or directory\n"
 
 
 @pytest.mark.parametrize("m", ["nan", "inf", "0"])
@@ -712,6 +724,20 @@ def test_empty_list_from_a_config_is_a_missing_flag(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["sweep", "collapse"])
+@pytest.mark.parametrize("config", [None, {"ratio": []}], ids=["no-flag", "empty-config"])
+def test_ensemble_verbs_need_a_ratio(tmp_path, capsys, verb, config):
+    argv = [verb, "--n", "4", "--d", "0.5", "--tmax", "20"]
+    if config is not None:
+        cfg_path = tmp_path / "job.json"
+        cfg_path.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_path)]
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: need --ratio (flag or config)\n"
+    assert not out.exists()
+
+
 def test_collapse_refuses_diffusion_free_ensembles_before_any_run(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("collapse", "--n", "4", "--ratio", "9/5", "--ratio", "6/5",
@@ -862,12 +888,14 @@ def test_unstable_peclet_names_its_flags(tmp_path, capsys, verb, budget, given, 
     assert not out.exists()
 
 
-def test_non_numeric_peclet_names_the_flag(tmp_path, capsys):
+@pytest.mark.parametrize("verb", sorted(_PECLET_RUNS))
+def test_non_numeric_peclet_names_the_flag(tmp_path, capsys, verb):
+    # One converter on every verb, so no verb answers with argparse's usage and exit 2.
     out = tmp_path / "out"
-    code = run_cli("stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "200",
-                   "--pe", "50", "--pe", "abc", "--out", str(out))
-    assert code == 1
-    assert capsys.readouterr().err == "error: --pe must be a number, got 'abc'\n"
+    assert run_cli(*_PECLET_RUNS[verb], "--tmax", "200", "--pe", "abc", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --pe must be a number, got 'abc'\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -132,3 +132,6 @@ def test_diffusivity_stability_refusal():
     for bad in (-5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             diffusivity_from_peclet(671, bad, 500)
+    for length, t_max in ((0, 500), (671, 0)):
+        with pytest.raises(ValueError, match="length and t_max must be positive"):
+            diffusivity_from_peclet(length, 100, t_max)

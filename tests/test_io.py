@@ -23,7 +23,6 @@ from ietmix.io import (
     export_steepening,
     export_table_one,
     output_dir,
-    protocol_metadata,
     write_json,
 )
 from ietmix.lattice import Protocol, Ratio, iterate
@@ -122,23 +121,6 @@ def test_spacetime_writer_keeps_the_rows_in_order(tmp_path, format):
     else:
         body = np.frombuffer(path.read_bytes()[-fields.size:], dtype=np.uint8)
         assert np.array_equal(body.reshape(fields.shape), np.rint(fields * 255))
-
-
-def test_metadata_contents(tmp_path):
-    proto = Protocol(n=4, ratio=Ratio(6, 5), permutation=(2, 4, 1, 3), d=0.450241,
-                     t_max=500)
-    meta = protocol_metadata(proto)
-    assert meta["ratio"] == {"num": 6, "den": 5}
-    assert meta["permutation"] == [2, 4, 1, 3]
-    assert meta["pe"] == pytest.approx(2000.0)
-    assert meta["seed_of_truth"] == "deterministic"
-    path = write_json(tmp_path / "meta.json", meta)
-    assert json.loads(path.read_text()) == meta
-
-
-def test_metadata_peclet_absent_without_diffusion():
-    proto = Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.0, t_max=5)
-    assert protocol_metadata(proto)["pe"] is None
 
 
 def test_ensemble_bundle(tmp_path):

@@ -1,5 +1,7 @@
 """Exact lattice construction and the cut-and-shuffle dynamics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -71,7 +73,7 @@ def test_capacity_guard_raises_before_wrapping():
 
 
 def test_piece_count_bounds():
-    for n in (1, 10, 3.5, "4"):
+    for n in (1, 10, 3.5, "4", None, math.inf, math.nan, "x"):
         with pytest.raises(ValueError):
             subsegment_lengths(n, Ratio(3, 2))
     # A whole float counts as its integer, here, in a Protocol and in the kernels.
@@ -114,6 +116,8 @@ def test_shuffle_step_validations():
         shuffle_step(c, [2, 4], (2, 1))  # wrong piece count
     with pytest.raises(ValueError):
         shuffle_step(c.reshape(2, 3), [1], (2, 1))
+    with pytest.raises(ValueError, match="cuts must be a one-dimensional"):
+        shuffle_step(c, [[2, 4]], (2, 1, 3))
 
 
 @given(st.data())
