@@ -55,7 +55,7 @@ from .io import (
 )
 from .lattice import Protocol, Ratio, evolve, total_length
 from .permutations import RULES, screen
-from .runner import collapse, run_ensemble, steepening_report, table_one
+from .runner import collapse, run_ensemble, run_ensembles, steepening_report, table_one
 
 
 def _add_common(sub):
@@ -371,9 +371,9 @@ def _cmd_collapse(args) -> int:
     runs = _runs(args, args.ratio)
     if any(d == 0.0 for *_, d in runs):
         raise ValueError("collapse fits diffusive ensembles only: give --d > 0 or --pe")
-    ensembles = []
+    ensembles = run_ensembles(dict(n=args.n, ratio=ratio, d=d, t_max=t_max, p=args.p, runs=False)
+                              for ratio, _, t_max, d in runs)
     for ratio, length, t_max, d in runs:
-        ensembles.append(run_ensemble(args.n, ratio, d, t_max, p=args.p, runs=False))
         print(f"r={ratio}: L={length} tmax={t_max} d={d:g}")
     cr = collapse(ensembles, grid_points=args.grid_points, grid_max=args.grid_max)
     payload = {

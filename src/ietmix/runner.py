@@ -8,6 +8,8 @@ norm decay and the e-folding scale all derive from its metric series.
 
 from __future__ import annotations
 
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,6 +102,112 @@ def run_ensemble(
     else:
         series = evolve(n, ratio, d, t_max, orders, p=p, runs=runs)
     return EnsembleResult(n, ratio, float(d), int(t_max), float(p), orders, series)
+
+
+def _run_group(jobs: list[dict], indices) -> dict:
+    """{k: (True, result) or (False, exception)} for the jobs listed, in that order.
+
+    Once job k has failed, a job after k in job order cannot be the one
+    raised, so it is skipped.
+    """
+    outcomes, failed = {}, len(jobs)
+    for k in indices:
+        if k > failed:
+            continue
+        try:
+            outcomes[k] = True, run_ensemble(**jobs[k])
+        except Exception as exc:  # carried to run_ensembles, which raises it in job order
+            outcomes[k], failed = (False, exc), min(failed, k)
+    return outcomes
+
+
+def _split(jobs: list[dict]) -> tuple[list[int], list[int]]:
+    """Job indices in two groups of about equal cost, L·(T_max+1) per job.
+
+    collapse's jobs share n and their orders, so the row count P is left
+    out of the cost. Jobs go largest first, ties in job order, each
+    to the group with the smaller cost so far (the first group on a tie).
+    """
+    costs = [total_length(job["n"], job["ratio"]) * (job["t_max"] + 1) for job in jobs]
+    groups, loads = ([], []), [0, 0]
+    for k in sorted(range(len(jobs)), key=lambda k: -costs[k]):
+        side = int(loads[1] < loads[0])
+        groups[side].append(k)
+        loads[side] += costs[k]
+    return groups
+
+
+def _with_child(jobs: list[dict], mine: list[int], theirs: list[int]) -> dict:
+    """Run `theirs` in one forked child while this process runs `mine`.
+
+    The child runs only run_ensemble (no fit, so no BLAS call in a fork
+    of a process with BLAS threads), then pickles its outcomes down a
+    pipe and leaves with os._exit, so it flushes no inherited buffer and
+    runs no exit handler. The child is always reaped here, and killed
+    first when this process fails before reading its reply; a child that
+    ends without its outcomes, killed by the OOM killer for instance,
+    raises ChildProcessError. When the fork itself fails, every job runs
+    here.
+    """
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare (a pids limit, ENOMEM): run every job here
+            return _run_group(jobs, range(len(jobs)))
+        if pid == 0:
+            code = 1
+            try:
+                reader.close()
+                writer.write(pickle.dumps(_run_group(jobs, theirs)))
+                writer.close()
+                code = 0
+            finally:
+                os._exit(code)
+        writer.close()
+        reply = None
+        try:
+            outcomes = _run_group(jobs, mine)
+            reply = reader.read()
+        finally:
+            if reply is None:
+                import signal  # not loaded by importing ietmix, so imported only here
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        ending = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
+        raise ChildProcessError(f"the forked ensemble run ended without its results ({ending})")
+    outcomes.update(pickle.loads(reply))
+    return outcomes
+
+
+def run_ensembles(jobs) -> list[EnsembleResult]:
+    """[run_ensemble(**job) for job in jobs], bit for bit and in job order, on two cores.
+
+    Ensembles share nothing, so _split deals the jobs into two groups of
+    about equal cost, and one forked child runs the second while this
+    process runs the first. Each job is run as run_ensemble would run it
+    alone, so each result has the same bytes. With one job, one CPU in
+    os.sched_getaffinity(0) (a platform without it counts as one), no
+    os.fork, or a fork that fails, every job runs here through the same
+    loop. A failure is
+    raised as the serial loop would raise it: the first in job order,
+    with its type and text.
+    """
+    jobs = list(jobs)
+    if (len(jobs) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        outcomes = _with_child(jobs, *_split(jobs))
+    else:
+        outcomes = _run_group(jobs, range(len(jobs)))
+    results = []
+    for k in range(len(jobs)):
+        ok, value = outcomes[k]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 @dataclass(frozen=True)

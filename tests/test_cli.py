@@ -608,8 +608,9 @@ _SCIPY_PROBE = """
 import sys
 from ietmix.cli import main
 on_import = "scipy" in sys.modules
+pools = ["multiprocessing" in sys.modules, "concurrent.futures" in sys.modules]
 code = main(sys.argv[1:])
-print(on_import, "scipy" in sys.modules, code)
+print(on_import, "scipy" in sys.modules, code, *pools)
 """
 _NO_SCIPY = """
 import sys
@@ -636,7 +637,8 @@ def _write_decay_series(path: Path) -> None:
 
 
 # The fits run on NumPy alone, so no verb loads SciPy, the fitting ones
-# included.
+# included. collapse forks its child with os.fork alone, so importing the
+# CLI loads no process-pool module either.
 @pytest.mark.parametrize("argv", [
     ["list-permutations", "--n", "4"],
     ["simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2", "--tmax", "2",
@@ -657,7 +659,7 @@ def test_scipy_is_loaded_only_by_verbs_that_fit(tmp_path, argv):
     _write_decay_series(tmp_path / "decay.csv")
     proc = _probe(_SCIPY_PROBE, argv, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False 0"
+    assert proc.stdout.splitlines()[-1] == "False False 0 False False"
 
 
 @pytest.mark.parametrize("argv", [

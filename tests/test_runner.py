@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+import os
+import pickle
+import signal
+import time
 
 import numpy as np
 import pytest
 
 from ietmix import runner
 from ietmix.cli import main
+from ietmix.diffusion import diffusivity_from_peclet, match_iterations
 from ietmix.fitting import efolding_time
 from ietmix.io import export_ensemble
-from ietmix.lattice import Ratio
-from ietmix.permutations import enumerate_allowed
+from ietmix.lattice import Ratio, total_length
+from ietmix.permutations import enumerate_allowed, screen
 from ietmix.runner import (
     EnsembleResult,
     collapse,
@@ -211,3 +216,156 @@ def test_too_short_diffusive_ensemble_refuses_when_its_fit_is_read():
     assert ens.avg_norm.shape == (3,)
     with pytest.raises(ValueError, match="samples"):
         ens.fit
+
+
+# The benchmark's five collapse ensembles (budgets from L = 369, T = 100),
+# and the diffusive ensembles of acceptance criterion 9's steepening sweep.
+COLLAPSE_RATIOS = [Ratio(6, 5), Ratio(5, 4), Ratio(7, 5), Ratio(8, 5), Ratio(9, 5)]
+COLLAPSE_JOBS = [dict(n=4, ratio=r, d=0.5, t_max=match_iterations(369, 100, total_length(4, r)),
+                      p=2.0, runs=False) for r in COLLAPSE_RATIOS]
+STEEPENING_JOBS = [
+    dict(n=4, ratio=Ratio(6, 5), d=diffusivity_from_peclet(671, pe, 500), t_max=500,
+         permutations=screen(4)[0], p=2.0, runs=False)
+    for pe in (2000.0, 4000.0, 8000.0, 16000.0, 24000.0, 32000.0)
+]
+# Small jobs that _split deals as (2,) to this process and (1, 0) to the child.
+SMALL_JOBS = [dict(n=4, ratio=Ratio(3, 2), d=0.5, t_max=20),
+              dict(n=4, ratio=Ratio(5, 4), d=0.5, t_max=20),
+              dict(n=4, ratio=Ratio(7, 5), d=0.5, t_max=300)]
+CPUS = pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["fork", "one-cpu"])
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test if it leaves a child process behind, reaped or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process; each still forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_split_deals_the_largest_jobs_first_to_the_lighter_group():
+    assert runner._split(COLLAPSE_JOBS) == ([4], [3, 2, 0, 1])
+    assert runner._split(STEEPENING_JOBS) == ([0, 2, 4], [1, 3, 5])  # equal costs
+    assert runner._split(SMALL_JOBS) == ([2], [1, 0])
+
+
+@CPUS
+@pytest.mark.parametrize("jobs", [COLLAPSE_JOBS, STEEPENING_JOBS], ids=["collapse", "steepening"])
+def test_run_ensembles_gives_the_serial_loops_bytes(monkeypatch, reaped, forks, cpus, jobs):
+    serial = [run_ensemble(**job) for job in jobs]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    results = runner.run_ensembles(jobs)
+    assert len(forks) == (len(cpus) > 1)
+    assert [pickle.dumps(ens) for ens in results] == [pickle.dumps(ens) for ens in serial]
+
+
+def test_run_ensembles_runs_one_job_or_none_in_process(reaped, forks):
+    [ens] = runner.run_ensembles(SMALL_JOBS[:1])
+    assert pickle.dumps(ens) == pickle.dumps(run_ensemble(**SMALL_JOBS[0]))
+    assert runner.run_ensembles([]) == []
+    assert forks == []
+
+
+def test_run_ensembles_without_fork_runs_in_process(monkeypatch, reaped):
+    monkeypatch.delattr(os, "fork")
+    results = runner.run_ensembles(SMALL_JOBS)
+    assert [pickle.dumps(ens) for ens in results] == [
+        pickle.dumps(run_ensemble(**job)) for job in SMALL_JOBS]
+
+
+@pytest.mark.parametrize("error", [BlockingIOError(11, "Resource temporarily unavailable"),
+                                   OSError(12, "Cannot allocate memory")], ids=["eagain", "enomem"])
+def test_a_fork_that_fails_runs_every_job_in_process(monkeypatch, reaped, error):
+    def failing_fork():  # as under a pids limit, or with no memory to copy the process
+        raise error
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    results = runner.run_ensembles(SMALL_JOBS)
+    assert [pickle.dumps(ens) for ens in results] == [
+        pickle.dumps(run_ensemble(**job)) for job in SMALL_JOBS]
+
+
+@CPUS
+@pytest.mark.parametrize("failing", [{0}, {2}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}],
+                         ids=lambda jobs: "fail-" + "".join(map(str, sorted(jobs))))
+def test_run_ensembles_raises_the_first_failure_in_job_order(monkeypatch, reaped, cpus, failing):
+    evolve = runner.evolve
+    bad = {SMALL_JOBS[k]["ratio"] for k in failing}
+
+    def failing_evolve(n, ratio, *args, **kwargs):  # the forked child inherits it
+        if ratio in bad:
+            raise MemoryError(f"no room for r={ratio}")
+        return evolve(n, ratio, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "evolve", failing_evolve)
+    with pytest.raises(MemoryError) as serial:
+        [run_ensemble(**job) for job in SMALL_JOBS]
+    assert str(serial.value) == f"no room for r={SMALL_JOBS[min(failing)]['ratio']}"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    with pytest.raises(MemoryError) as raised:
+        runner.run_ensembles(SMALL_JOBS)
+    assert type(raised.value) is type(serial.value)
+    assert str(raised.value) == str(serial.value)
+
+
+def _dying_child(monkeypatch):
+    """Make every run_ensemble call outside this process kill its own process."""
+    parent, run = os.getpid(), runner.run_ensemble
+
+    def dying(**job):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(**job)
+
+    monkeypatch.setattr(runner, "run_ensemble", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_a_killed_child_raises_child_process_error(monkeypatch, reaped):
+    _dying_child(monkeypatch)
+    with pytest.raises(ChildProcessError, match=r"without its results \(killed by signal 9\)"):
+        runner.run_ensembles(SMALL_JOBS)
+
+
+def test_a_killed_child_ends_collapse_with_one_error_line(monkeypatch, reaped, tmp_path, capsys):
+    _dying_child(monkeypatch)
+    out = tmp_path / "out"
+    code = main(["collapse", "--n", "4", "--ratio", "3/2", "--ratio", "5/4", "--d", "0.5",
+                 "--tmax", "60", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: the forked ensemble run ended without its results "
+                            "(killed by signal 9)\n")
+    assert not out.exists()
+
+
+def test_a_failing_parent_kills_and_reaps_its_child(monkeypatch, reaped):
+    parent, run = os.getpid(), runner.run_ensemble
+
+    def interrupted(**job):  # the child would sleep far longer than the test waits
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return run(**job)
+
+    monkeypatch.setattr(runner, "run_ensemble", interrupted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        runner.run_ensembles(SMALL_JOBS)
+    assert time.monotonic() - start < 30
