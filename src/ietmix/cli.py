@@ -222,14 +222,13 @@ def _diffusivity(args, length: int, t_max: int, pe: float) -> float:
                          f"needs D > 1/2; {fix}") from None
 
 
-def _ratios(texts) -> list[Ratio]:
-    """The ratios of --ratio texts; each may be given once, in any of its
-    forms (3/2 or 6/4)."""
-    ratios = [_ratio(text) for text in texts]
-    for k, ratio in enumerate(ratios):
-        if ratio in ratios[:k]:
-            raise ValueError(f"--ratio {ratio} is given more than once")
-    return ratios
+def _once(flag: str, values: list, spec: str = "") -> list:
+    """values, each given once (a ratio in any of its forms, 3/2 or 6/4); the
+    refusal names, as format(value, spec), the first that repeats an earlier one."""
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ValueError(f"{flag} {value:{spec}} is given more than once")
+    return values
 
 
 def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
@@ -239,7 +238,7 @@ def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
     fit needs.
     """
     runs = []
-    for ratio in _ratios(texts):
+    for ratio in _once("--ratio", [_ratio(text) for text in texts]):
         length = total_length(args.n, ratio)
         t_max = _resolve_tmax(args, length)
         if args.d is not None and args.pe is not None:
@@ -394,10 +393,7 @@ def _cmd_stopping_time(args) -> int:
     ratio = _ratio(args.ratio)
     length = total_length(args.n, ratio)
     t_max = _resolve_tmax(args, length)
-    pes = sorted(_peclet(v) for v in args.pe)
-    for a, b in zip(pes, pes[1:]):
-        if a == b:
-            raise ValueError(f"--pe {a:g} is given more than once")
+    pes = _once("--pe", sorted(_peclet(v) for v in args.pe), "g")
     for pe in pes:
         _diffusivity(args, length, t_max, pe)
     rows = steepening_report(
@@ -420,7 +416,7 @@ def _cmd_stopping_time(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    ratios = _ratios(args.ratio or _PAPER_RATIOS)
+    ratios = _once("--ratio", [_ratio(text) for text in args.ratio or _PAPER_RATIOS])
     if args.ref_tmax <= 0:
         raise ValueError(f"--ref-tmax must be positive, got {args.ref_tmax}")
     ref = (_ratio(args.ref_ratio, "--ref-ratio"), args.ref_tmax)

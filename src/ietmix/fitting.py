@@ -63,16 +63,25 @@ def efolding_time(fit: FitResult) -> float:
 
 
 def _efold_crossing(t, y, m: float) -> float:
-    """First crossing of m/e, linearly interpolated; t[-1] if never reached."""
+    """First crossing of m/e, linearly interpolated; t[-1] if never reached.
+
+    A curve already at or below m/e at its first sample crosses between the
+    pinned start (0, m) and its first sample at t > 0 at or below m/e; with
+    no such sample the start is the tau floor.
+    """
     target = m / math.e
     below = np.flatnonzero(y <= target)
     if below.size == 0:
         return float(t[-1])
     i = int(below[0])
-    if i == 0:
-        return max(float(t[0]), _TAU_FLOOR)
-    t0, t1 = float(t[i - 1]), float(t[i])
-    y0, y1 = float(y[i - 1]), float(y[i])
+    if i > 0:
+        t0, y0 = float(t[i - 1]), float(y[i - 1])
+    else:
+        later = below[t[below] > 0.0]
+        if later.size == 0:
+            return _TAU_FLOOR
+        i, t0, y0 = int(later[0]), 0.0, float(m)
+    t1, y1 = float(t[i]), float(y[i])
     return max(t0 + (y0 - target) * (t1 - t0) / (y0 - y1), _TAU_FLOOR)
 
 

@@ -105,19 +105,15 @@ def run_ensemble(
 
 
 def _run_group(jobs: list[dict], indices) -> dict:
-    """{k: (True, result) or (False, exception)} for the jobs listed, in that order.
-
-    Once job k has failed, a job after k in job order cannot be the one
-    raised, so it is skipped.
-    """
-    outcomes, failed = {}, len(jobs)
-    for k in indices:
-        if k > failed:
-            continue
+    """{k: (True, result) or (False, exception)} for the jobs listed, run in
+    job order up to and including the first that fails."""
+    outcomes = {}
+    for k in sorted(indices):
         try:
             outcomes[k] = True, run_ensemble(**jobs[k])
         except Exception as exc:  # carried to run_ensembles, which raises it in job order
-            outcomes[k], failed = (False, exc), min(failed, k)
+            outcomes[k] = False, exc
+            break
     return outcomes
 
 
@@ -191,9 +187,9 @@ def run_ensembles(jobs) -> list[EnsembleResult]:
     alone, so each result has the same bytes. With one job, one CPU in
     os.sched_getaffinity(0) (a platform without it counts as one), no
     os.fork, or a fork that fails, every job runs here through the same
-    loop. A failure is
-    raised as the serial loop would raise it: the first in job order,
-    with its type and text.
+    loop. Each group runs in job order and stops at its first failure, so
+    the loop below meets a failure before any job left unrun, and raises
+    the serial loop's failure: the first in job order, its type and text.
     """
     jobs = list(jobs)
     if (len(jobs) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")

@@ -836,13 +836,16 @@ def test_peclet_with_a_zero_budget_names_the_flags(tmp_path, capsys, argv):
 
 def test_repeated_peclet_is_refused_before_any_run(tmp_path, capsys):
     out = tmp_path / "out"
-    code = run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "50",
-                   "--pe", "100", "--pe", "1e2", "--steepening", "--out", str(out))
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.err == "error: --pe 100 is given more than once\n"
-    assert captured.out == ""
-    assert not out.exists()
+    # With several repeats, the smallest repeated value is named.
+    for pes in (["100", "1e2"], ["200", "100", "200", "100"]):
+        code = run_cli("stopping-time", "--n", "4", "--ratio", "6/5", "--tmax", "50",
+                       *(arg for pe in pes for arg in ("--pe", pe)), "--steepening",
+                       "--out", str(out))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --pe 100 is given more than once\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 _PECLET_RUNS = {

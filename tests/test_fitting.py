@@ -79,6 +79,30 @@ def test_fit_respects_alpha_ceiling():
     assert fit.alpha <= 2.0 + 1e-12
 
 
+def test_fit_of_a_curve_starting_below_its_efold_level(solves_checked_against_scipy):
+    # The first sample, 1.0, is already below m/e = 1.10: the start is the m/e
+    # crossing between the pinned (0, 3) and the first sample at t > 0, (1, 0.79).
+    t = np.arange(40, dtype=float)
+    y = np.exp(-((t / 6.0) ** 0.8))
+    assert fitting._efold_crossing(t, y, 3.0) == pytest.approx(0.857, abs=1e-3)
+    before = len(solves_checked_against_scipy)
+    fit = fit_stretched_exponential(t, y, 3.0)
+    assert len(solves_checked_against_scipy) == before + 1
+    assert fit.tau > 1e-6 and fit.sse < 6.414  # the start on the tau floor stalls at once
+
+
+def test_fit_starting_on_the_tau_floor_is_moved_off_it(solves_checked_against_scipy):
+    # The crossing, near 2e-9, lies below the floor, so the solve moves tau0 to
+    # floor + 1e-10 before its first step, as SciPy does.
+    t = np.arange(12) * 1e-9
+    y = np.exp(-((t / 2e-9) ** 0.9))
+    assert fitting._efold_crossing(t, y, 1.0) == fitting._TAU_FLOOR
+    before = len(solves_checked_against_scipy)
+    fit_stretched_exponential(t, y, 1.0)
+    [(_, _, nfev, status)] = solves_checked_against_scipy[before:]
+    assert (nfev, status) == (8, 1)
+
+
 def test_fit_input_validation():
     t = np.arange(0, 10, dtype=float)
     y = stretched_exponential(t, 1.0, 3.0, 1.0)
