@@ -67,7 +67,7 @@ def _efold_crossing(t, y, m: float) -> float:
 
     A curve already at or below m/e at its first sample crosses between the
     pinned start (0, m) and its first sample at t > 0 at or below m/e; with
-    no such sample the start is the tau floor.
+    no such sample there is no decay to fit, and ValueError is raised.
     """
     target = m / math.e
     below = np.flatnonzero(y <= target)
@@ -79,7 +79,7 @@ def _efold_crossing(t, y, m: float) -> float:
     else:
         later = below[t[below] > 0.0]
         if later.size == 0:
-            return _TAU_FLOOR
+            raise ValueError(f"no decay to fit: no sample at t > 0 reaches m/e = {target:.6g}")
         i, t0, y0 = int(later[0]), 0.0, float(m)
     t1, y1 = float(t[i]), float(y[i])
     return max(t0 + (y0 - target) * (t1 - t0) / (y0 - y1), _TAU_FLOOR)
@@ -97,8 +97,8 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
     converged=False rather than raised.
 
     Raises ValueError for fewer than 5 samples, times that are not
-    finite, an m or values that are negative or not finite, or a flat
-    curve (no decay to fit).
+    finite, an m or values that are negative or not finite, or no decay
+    to fit: a flat curve, or one that reaches m/e only at t <= 0.
     """
     t = np.asarray(t, dtype=np.float64)
     y = np.asarray(values, dtype=np.float64)

@@ -1,6 +1,7 @@
 """File export: every output file is written here, and only here.
 
-CSV tables go through write_csv and JSON documents through write_json;
+CSV tables go through write_csv, except series.csv, which writes the same
+bytes through a row template; JSON documents go through write_json;
 space-time fields are P5 graymaps or raw float matrices. Rows are built
 from Python scalars (tolist, int, float), never NumPy scalars, whose
 repr would leak into the text. A verb writes its files inside
@@ -24,6 +25,9 @@ from .metrics import MetricSeries
 from .runner import CollapseResult, EnsembleResult
 
 SERIES_HEADER = ["T", "cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len"]
+_SERIES_ROW = ",".join(["%s"] * len(SERIES_HEADER)) + "\r\n"  # csv.writer's row, unquoted
+#: Rows of series.csv formatted per write: few calls, and a chunk's text stays small.
+_SERIES_CHUNK = 4096
 
 
 def write_csv(path, header, rows) -> Path:
@@ -90,12 +94,37 @@ def _column(values, rows: int) -> list:
     return [""] * rows if values is None else values.tolist()
 
 
+def _cells(values, rows: slice) -> list[str]:
+    """The CSV text of values[rows], each distinct value formatted once.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own text; the text is repr's, as csv.writer writes a float or an int.
+    """
+    chunk = values[rows]
+    _, first, inverse = np.unique(chunk.view(f"u{chunk.itemsize}"),
+                                  return_index=True, return_inverse=True)
+    return np.array([repr(v) for v in chunk[first].tolist()], dtype=object)[inverse].tolist()
+
+
 def export_series(series: MetricSeries, path) -> Path:
-    """Metric series as CSV with the documented column contract."""
-    metrics = (series.cut_count, series.percent_unmixed, series.mixing_norm,
+    """Metric series as CSV with the documented column contract.
+
+    The bytes are those csv.writer writes, but formatting each float is
+    most of its cost and a series repeats most of its values, so rows go
+    out _SERIES_CHUNK at a time through one row template, each distinct
+    value of a chunk formatted once.
+    """
+    columns = (series.t, series.cut_count, series.percent_unmixed, series.mixing_norm,
                series.mean_subseg_len)
-    return write_csv(path, SERIES_HEADER,
-                     zip(series.t.tolist(), *(_column(v, len(series)) for v in metrics)))
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        fh.write(_SERIES_ROW % tuple(SERIES_HEADER))
+        for start in range(0, len(series), _SERIES_CHUNK):
+            rows = slice(start, start + _SERIES_CHUNK)
+            blank = [""] * min(_SERIES_CHUNK, len(series) - start)
+            cells = (blank if v is None else _cells(v, rows) for v in columns)
+            fh.write("".join(map(_SERIES_ROW.__mod__, zip(*cells))))
+    return path
 
 
 class SpaceTimeWriter:

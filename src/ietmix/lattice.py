@@ -160,11 +160,6 @@ class Protocol:
         object.__setattr__(self, "t_max", int(self.t_max))
 
 
-def _gather(flat: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = flat[index] without allocating; index is always in range."""
-    np.take(flat, index, out=out.reshape(-1), mode="clip")
-
-
 def _runs(block: np.ndarray, starts_mask: np.ndarray, bounds: np.ndarray):
     """Cut count and longest run of equal values of every row of block.
 
@@ -230,7 +225,10 @@ def evolve(
     shuffle gathers the block into own through sigma (from _slots); the stencil
     of diffusion_step writes from shifted slices of own back into the
     block (work is its scratch), so each row is bit-identical to
-    composing shuffle_step and diffusion_step.
+    composing shuffle_step and diffusion_step. The views these calls
+    touch are built once per ring slot before the loop, not sliced anew
+    each iteration: the operands and their order are the same, so every
+    bit is.
     Each iteration's block is the next slot of a ring of span slots,
     span·P·L floats within _BLOCK_BYTES (a single slot when one block
     alone exceeds it), and the diagnostics of every span iterations are
@@ -276,22 +274,31 @@ def evolve(
     cbar = float(field.mean())
     if d == 0.0:
         norms[:] = mixing_norm(field, cbar, p)
+    # Every view an iteration touches, built once per slot rather than sliced anew
+    # each step: the previous slot's flat sites, the gather's target, and the
+    # block, its interior and its end columns.
+    own_sites = own.reshape(-1)
+    views = [(sites[s - 1], own_sites if d > 0.0 else sites[s], ring[s], ring[s][:, 1:-1],
+              ring[s][:, :-1], ring[s][:, 0], ring[s][:, -1]) for s in range(len(ring))]
+    # c_{i+1} and c_{i-1} are shifted slices of own, closed periodically.
+    right, left, after, before = own[:, 2:], own[:, :-2], own[:, 1:], own[:, :-1]
+    first, second, last, penult = own[:, 0], own[:, 1], own[:, -1], own[:, -2]
+    work_tail, work_head = work[:, 1:], work[:, 0]
     for t in range(t_max + 1):
         slot = t % len(ring)
-        block = ring[slot]
         if t > 0:
-            _gather(sites[slot - 1], sigma, own if d > 0.0 else block)
-            # c_{i+1} and c_{i-1} are shifted slices of own, closed periodically.
+            prev, target, block, inner, lead, head, tail = views[slot]
+            prev.take(sigma, out=target, mode="clip")  # sigma is always in range
             if d == 0.5:
-                np.add(own[:, 2:], own[:, :-2], out=block[:, 1:-1])
-                np.add(own[:, 1], own[:, -1], out=block[:, 0])
-                np.add(own[:, 0], own[:, -2], out=block[:, -1])
+                np.add(right, left, out=inner)
+                np.add(second, last, out=head)
+                np.add(first, penult, out=tail)
                 np.multiply(block, 0.5, out=block)
             elif d > 0.0:
-                np.subtract(own[:, 1:], own[:, :-1], out=block[:, :-1])
-                np.subtract(own[:, 0], own[:, -1], out=block[:, -1])
-                np.subtract(own[:, :-1], own[:, 1:], out=work[:, 1:])
-                np.subtract(own[:, -1], own[:, 0], out=work[:, 0])
+                np.subtract(after, before, out=lead)
+                np.subtract(first, last, out=tail)
+                np.subtract(before, after, out=work_tail)
+                np.subtract(last, first, out=work_head)
                 np.add(block, work, out=block)
                 np.add(own, np.multiply(block, d, out=block), out=block)
         k = t % span + 1  # states in this block so far, T = t included

@@ -103,6 +103,13 @@ def test_fit_starting_on_the_tau_floor_is_moved_off_it(solves_checked_against_sc
     assert (nfev, status) == (8, 1)
 
 
+def test_fit_refuses_a_curve_that_reaches_its_efold_level_only_at_t_zero():
+    # Only the first sample is at or below m/e = 0.37; the start used to sit on
+    # the tau floor, where the model is flat, and the fit report converged.
+    with pytest.raises(ValueError, match=r"^no decay to fit: no sample at t > 0 reaches m/e"):
+        fit_stretched_exponential(np.arange(5), [0.3, 0.5, 0.5, 0.5, 0.5], 1.0)
+
+
 def test_fit_input_validation():
     t = np.arange(0, 10, dtype=float)
     y = stretched_exponential(t, 1.0, 3.0, 1.0)

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ietmix
 from ietmix.cli import main
 from ietmix.io import (
+    _SERIES_CHUNK,
     SERIES_HEADER,
     SpaceTimeWriter,
     export_collapse,
@@ -26,7 +29,7 @@ from ietmix.io import (
     write_json,
 )
 from ietmix.lattice import Protocol, Ratio, iterate
-from ietmix.metrics import compute_series
+from ietmix.metrics import MetricSeries, compute_series
 from ietmix.runner import collapse, run_ensemble, steepening_report, table_one
 
 
@@ -64,6 +67,54 @@ def test_series_csv_leaves_a_metric_not_computed_blank(tmp_path):
     assert [r[1] for r in rows] == [str(c) for c in series.cut_count.tolist()]
     assert {r[2] for r in rows} == {""}
     assert [float(r[3]) for r in rows] == series.mixing_norm.tolist()
+
+
+def csv_writer_series(series, path):
+    """series.csv as one csv.writer writes it, the reference of export_series."""
+    columns = (series.cut_count, series.percent_unmixed, series.mixing_norm,
+               series.mean_subseg_len)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(SERIES_HEADER)
+        w.writerows(zip(series.t.tolist(), *([""] * len(series) if v is None else v.tolist()
+                                             for v in columns)))
+    return path
+
+
+# Floats whose text a shortcut could get wrong: both zeros, both infinities, NaNs
+# with other signs and payloads, subnormals, and neighbours one ulp apart.
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+    *np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001],
+              dtype=np.uint64).view(np.float64).tolist(),
+    0.1, float(np.nextafter(0.1, 1.0)), 1e16, 1e-5, 100.0 / 3,
+]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    length=st.one_of(st.sampled_from([1, _SERIES_CHUNK - 1, _SERIES_CHUNK, _SERIES_CHUNK + 1,
+                                      2 * _SERIES_CHUNK + 1]),
+                     st.integers(1, 3 * _SERIES_CHUNK)),
+    floats=st.lists(st.floats(), max_size=12),
+    counts=st.lists(st.integers(0, 2**63 - 2), min_size=1, max_size=12),
+    runs=st.booleans(),
+    unmixed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_series_csv_is_csv_writers_bytes(tmp_path_factory, length, floats, counts, runs,
+                                         unmixed, seed):
+    # Each column draws from a small pool of values, so chunks repeat values as
+    # real series do; a run metric that was not computed is a blank column.
+    rng = np.random.default_rng(seed)
+    pick = lambda pool, dtype: np.array(pool, dtype=dtype)[rng.integers(len(pool), size=length)]
+    floats = SPECIAL_FLOATS + floats
+    series = MetricSeries(pick(counts, np.int64) if runs else None,
+                          pick(floats, np.float64) if runs and unmixed else None,
+                          pick(floats, np.float64), 2.0, 0.5)
+    out = tmp_path_factory.mktemp("series")
+    assert (export_series(series, out / "a.csv").read_bytes()
+            == csv_writer_series(series, out / "b.csv").read_bytes())
 
 
 def test_spacetime_pgm_layout(tmp_path, short_fields):
