@@ -17,7 +17,7 @@ flag (sweep and collapse need --n and a --ratio) must be one of the
 first two, and --pe stays text until _peclet converts it on every verb.
 A bad value is refused before the first run and before any directory is
 made, and a verb's files appear in --out only when it succeeds (see
-io.output_dir). _write_config writes the record of each run: simulate's
+io.output_dir). io.write_record writes the record of each run: simulate's
 resolved protocol to metadata.json, and the resolved flags of sweep,
 collapse and stopping-time to config.json; table1 --out and fit --out
 write only their data.
@@ -52,6 +52,7 @@ from .io import (
     order_labels,
     output_dir,
     write_json,
+    write_record,
 )
 from .lattice import Protocol, Ratio, evolve, total_length
 from .permutations import RULES, screen
@@ -255,11 +256,6 @@ def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
     return runs
 
 
-def _write_config(path: Path, record: dict) -> None:
-    """Write the record of what a verb ran, with seed_of_truth last."""
-    write_json(path, {**record, "seed_of_truth": "deterministic"})
-
-
 def _cmd_simulate(args) -> int:
     [(ratio, length, t_max, d)] = _runs(args, [args.ratio])
     try:
@@ -279,7 +275,7 @@ def _cmd_simulate(args) -> int:
               SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
             series = evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster)
         export_series(series.row(0), out / "series.csv")
-        _write_config(out / "metadata.json", {
+        write_record(out / "metadata.json", {
             "n": args.n, "ratio": {"num": ratio.num, "den": ratio.den}, "permutation": list(perm),
             "d": d, "pe": pe, "tmax": t_max, "p": args.p})
     print(
@@ -316,7 +312,7 @@ def _cmd_sweep(args) -> int:
             )
         if entries:
             export_fit_scatter(entries, out / "fits.csv")
-        _write_config(out / "config.json", {"verb": "sweep", "n": args.n, "p": args.p})
+        write_record(out / "config.json", {"verb": "sweep", "n": args.n, "p": args.p})
     return 0
 
 
@@ -382,7 +378,7 @@ def _cmd_collapse(args) -> int:
     with output_dir(args.out) as out:
         export_collapse(cr, out / "collapse.csv")
         write_json(out / "universal_fit.json", payload)
-        _write_config(out / "config.json", {
+        write_record(out / "config.json", {
             "verb": "collapse", "n": args.n, "p": args.p,
             "grid_points": args.grid_points, "grid_max": args.grid_max})
     print(json_text(payload))
@@ -402,7 +398,7 @@ def _cmd_stopping_time(args) -> int:
     )
     with output_dir(args.out) as out:
         export_steepening(rows, out / "stopping_times.csv")
-        _write_config(out / "config.json", {
+        write_record(out / "config.json", {
             "verb": "stopping-time", "n": args.n, "ratio": str(ratio), "tmax": t_max,
             "pe": pes, "lm_mode": args.lm_mode, "steepening": args.steepening})
     for row in rows:

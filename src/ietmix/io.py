@@ -1,17 +1,17 @@
 """File export: every output file is written here, and only here.
 
-CSV tables go through write_csv, except series.csv, which writes the same
-bytes through a row template; JSON documents go through write_json;
-space-time fields are P5 graymaps or raw float matrices. Rows are built
-from Python scalars (tolist, int, float), never NumPy scalars, whose
-repr would leak into the text. A verb writes its files inside
-output_dir, which keeps them out of the output directory unless it succeeds.
+CSV tables go through write_csv's one row template, numeric columns by
+way of _write_columns; JSON documents go through write_json; space-time
+fields are P5 graymaps or raw float matrices. Rows are built from Python
+scalars (tolist, int, float), never NumPy scalars, whose text differs.
+A verb writes its files inside output_dir, which keeps them out of the
+output directory unless it succeeds.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import json
 import os
 import shutil
@@ -25,19 +25,24 @@ from .metrics import MetricSeries
 from .runner import CollapseResult, EnsembleResult
 
 SERIES_HEADER = ["T", "cut_count", "percent_unmixed", "mixing_norm", "mean_subseg_len"]
-_SERIES_ROW = ",".join(["%s"] * len(SERIES_HEADER)) + "\r\n"  # csv.writer's row, unquoted
-#: Rows of series.csv formatted per write: few calls, and a chunk's text stays small.
-_SERIES_CHUNK = 4096
+#: Rows of a numeric table formatted per write: few calls, and a chunk's text stays small.
+_CHUNK = 4096
 
 
-def write_csv(path, header, rows) -> Path:
-    """A CSV table: the header row, then every row."""
-    path = Path(path)
+def write_csv(path, header, chunks) -> Path:
+    """A CSV table: the header row, then each chunk of rows (tuples) in one write.
+
+    One "%s,...\r\n" template writes each row: csv.writer's text, since no
+    cell the program writes needs quoting (numbers, True/False, blanks, a/b
+    ratios, digit labels, fixed header names).
+    """
+    template = ",".join(["%s"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    return path
+        fh.write(template % tuple(header))
+        for rows in chunks:
+            fh.write("".join(map(template.__mod__, rows)))
+            del rows  # free this chunk's cells before the next chunk is made
+    return Path(path)
 
 
 def json_text(payload) -> str:
@@ -49,6 +54,11 @@ def write_json(path, payload) -> Path:
     path = Path(path)
     path.write_text(json_text(payload) + "\n")
     return path
+
+
+def write_record(path, record: dict) -> Path:
+    """The record of what a verb ran, as JSON with seed_of_truth last."""
+    return write_json(path, {**record, "seed_of_truth": "deterministic"})
 
 
 @contextlib.contextmanager
@@ -89,11 +99,6 @@ def fit_payload(fit: FitResult) -> dict:
             "sse": fit.sse, "converged": fit.converged}
 
 
-def _column(values, rows: int) -> list:
-    """A metric's CSV column; a metric that was not computed is left blank."""
-    return [""] * rows if values is None else values.tolist()
-
-
 def _cells(values, rows: slice) -> list[str]:
     """The CSV text of values[rows], each distinct value formatted once.
 
@@ -106,25 +111,23 @@ def _cells(values, rows: slice) -> list[str]:
     return np.array([repr(v) for v in chunk[first].tolist()], dtype=object)[inverse].tolist()
 
 
-def export_series(series: MetricSeries, path) -> Path:
-    """Metric series as CSV with the documented column contract.
+def _write_columns(path, header, columns) -> Path:
+    """A table of equal-length numeric columns, the first never None; None is a blank column.
 
-    The bytes are those csv.writer writes, but formatting each float is
-    most of its cost and a series repeats most of its values, so rows go
-    out _SERIES_CHUNK at a time through one row template, each distinct
-    value of a chunk formatted once.
+    Formatting each float is most of a table's cost and a series repeats
+    most of its values, so the rows reach write_csv _CHUNK at a time, each
+    distinct value of a chunk formatted once.
     """
-    columns = (series.t, series.cut_count, series.percent_unmixed, series.mixing_norm,
-               series.mean_subseg_len)
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(_SERIES_ROW % tuple(SERIES_HEADER))
-        for start in range(0, len(series), _SERIES_CHUNK):
-            rows = slice(start, start + _SERIES_CHUNK)
-            blank = [""] * min(_SERIES_CHUNK, len(series) - start)
-            cells = (blank if v is None else _cells(v, rows) for v in columns)
-            fh.write("".join(map(_SERIES_ROW.__mod__, zip(*cells))))
-    return path
+    return write_csv(path, header, (
+        zip(*(itertools.repeat("") if v is None else _cells(v, slice(start, start + _CHUNK))
+              for v in columns)) for start in range(0, len(columns[0]), _CHUNK)))
+
+
+def export_series(series: MetricSeries, path) -> Path:
+    """Metric series as CSV with the documented column contract."""
+    return _write_columns(path, SERIES_HEADER, (
+        series.t, series.cut_count, series.percent_unmixed, series.mixing_norm,
+        series.mean_subseg_len))
 
 
 class SpaceTimeWriter:
@@ -182,24 +185,15 @@ def export_ensemble(ens: EnsembleResult, out_dir) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = order_labels(ens.permutations)
-    averages = (ens.avg_norm, ens.avg_cut, ens.avg_subseg)
-    write_csv(out / "average_curves.csv",
-              ["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"],
-              zip(range(ens.t_max + 1), *(_column(v, ens.t_max + 1) for v in averages)))
-    write_csv(out / "permutation_norms.csv", ["T"] + labels,
-              ([i] + row.tolist() for i, row in enumerate(ens.series.mixing_norm.T)))
-    write_json(out / "ensemble.json", {
-        "n": ens.n,
-        "ratio": {"num": ens.ratio.num, "den": ens.ratio.den},
-        "d": ens.d,
-        "tmax": ens.t_max,
-        "p": ens.p,
-        "m": ens.m,
-        "permutations": labels,
-        "fit": None if ens.fit is None else fit_payload(ens.fit),
-        "t_pe": ens.t_pe,
-        "seed_of_truth": "deterministic",
-    })
+    _write_columns(out / "average_curves.csv",
+                   ["T", "avg_mixing_norm", "avg_cut_count", "avg_mean_subseg_len"],
+                   (np.arange(ens.t_max + 1), ens.avg_norm, ens.avg_cut, ens.avg_subseg))
+    write_csv(out / "permutation_norms.csv", ["T"] + labels,  # a row per write: a cell per order
+              ([(i, *row.tolist())] for i, row in enumerate(ens.series.mixing_norm.T)))
+    write_record(out / "ensemble.json", {
+        "n": ens.n, "ratio": {"num": ens.ratio.num, "den": ens.ratio.den}, "d": ens.d,
+        "tmax": ens.t_max, "p": ens.p, "m": ens.m, "permutations": labels,
+        "fit": None if ens.fit is None else fit_payload(ens.fit), "t_pe": ens.t_pe})
     return out
 
 
@@ -207,13 +201,9 @@ def export_collapse(cr: CollapseResult, path) -> Path:
     """Rescaled-collapse table: grid, mean, spread band, then each curve."""
     lo = np.maximum(cr.mean_curve - cr.std_curve, 0.0)
     hi = cr.mean_curve + cr.std_curve
-    columns = np.vstack([cr.grid, cr.mean_curve, cr.std_curve, lo, hi, cr.curves])
-    return write_csv(
-        path,
-        ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
-        + [f"curve_{k}" for k in range(cr.curves.shape[0])],
-        (row.tolist() for row in columns.T),
-    )
+    return _write_columns(path, ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
+                          + [f"curve_{k}" for k in range(len(cr.curves))],
+                          (cr.grid, cr.mean_curve, cr.std_curve, lo, hi, *cr.curves))
 
 
 def export_steepening(rows, path) -> Path:
@@ -223,23 +213,21 @@ def export_steepening(rows, path) -> Path:
     reached, are left blank.
     """
     return write_csv(
-        path,
-        ["pe", "d", "found", "t_stop", "t_stop_interp", "t_stop_normalized", "max_slope"],
-        ([row.pe, row.d, row.solution.found]
-         + ["" if v is None else v for v in (row.solution.iteration, row.solution.interpolated,
-                                             row.solution.normalized_time, row.max_slope)]
-         for row in rows),
-    )
+        path, ["pe", "d", "found", "t_stop", "t_stop_interp", "t_stop_normalized", "max_slope"],
+        [((row.pe, row.d, row.solution.found,
+           *("" if v is None else v for v in (row.solution.iteration, row.solution.interpolated,
+                                              row.solution.normalized_time, row.max_slope)))
+          for row in rows)])
 
 
 def export_table_one(rows, path) -> Path:
     """Lattice-size table as CSV."""
     return write_csv(path, ["r", "r_n", "xi", "L", "t_max"],
-                     ([str(row.ratio), row.r_n, row.xi, row.length, row.t_max]
-                      for row in rows))
+                     [((str(row.ratio), row.r_n, row.xi, row.length, row.t_max)
+                       for row in rows)])
 
 
 def export_fit_scatter(entries, path) -> Path:
     """Fit-parameter scatter, one (ratio, d, fit) row per ensemble."""
     return write_csv(path, ["r", "D", "tau", "alpha"],
-                     ([str(ratio), d, fit.tau, fit.alpha] for ratio, d, fit in entries))
+                     [((str(ratio), d, fit.tau, fit.alpha) for ratio, d, fit in entries)])

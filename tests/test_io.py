@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import ietmix
 from ietmix.cli import main
 from ietmix.io import (
-    _SERIES_CHUNK,
+    _CHUNK,
     SERIES_HEADER,
     SpaceTimeWriter,
     export_collapse,
@@ -93,9 +93,8 @@ SPECIAL_FLOATS = [
 
 @settings(deadline=None, max_examples=40)
 @given(
-    length=st.one_of(st.sampled_from([1, _SERIES_CHUNK - 1, _SERIES_CHUNK, _SERIES_CHUNK + 1,
-                                      2 * _SERIES_CHUNK + 1]),
-                     st.integers(1, 3 * _SERIES_CHUNK)),
+    length=st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+                     st.integers(1, 3 * _CHUNK)),
     floats=st.lists(st.floats(), max_size=12),
     counts=st.lists(st.integers(0, 2**63 - 2), min_size=1, max_size=12),
     runs=st.booleans(),
@@ -288,6 +287,59 @@ def test_table1_csv_bytes_unchanged(tmp_path):
     assert digests(tmp_path) == {
         "table1.csv": "19a8811f86810a29e69524a0373fef1ed6ff0055ec5c3f0b15a68bf80c78fa1b",
     }
+
+
+# Frozen while collapse.csv and stopping_times.csv were still written by
+# csv.writer; they must stay byte for byte the same.
+COLLAPSE = ["collapse", "--n", "4", "--ratio", "5/4", "--ratio", "6/5", "--d", "0.5",
+            "--tmax-from", "369,50", "--grid-points", "50"]
+# At Pe = 1e8 the crossing is never reached: blank cells and False.
+STOPPING = ["stopping-time", "--n", "4", "--ratio", "3/2", "--tmax", "120", "--pe", "80",
+            "--pe", "1e8", "--steepening"]
+
+
+def test_collapse_bundle_bytes_unchanged(tmp_path):
+    assert main([*COLLAPSE, "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == {
+        "collapse.csv": "c22a1ae46872caccf4672fc7593c4965c5f140c66e70ec555808a93c67fa736a",
+        "config.json": "40aa11936bb770f51f36482b4b044e670b70b4a480f40d8647d553c3867d8a6c",
+        "universal_fit.json": "c9a52e601443f2b2eb979e25743767eff99abff7f5c7247ba42fd38c5784e674",
+    }
+
+
+def test_stopping_time_bundle_bytes_unchanged(tmp_path):
+    assert main([*STOPPING, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "stopping_times.csv").read_text().splitlines()[2] == (
+        "100000000.0,3.5208333333333333e-07,False,,,,")
+    assert digests(tmp_path) == {
+        "config.json": "a372257e85bce29caa3c11b39918d58195021a7181708f7183ec29cd30a111ca",
+        "stopping_times.csv": "4c200fd8390aa5a21a0d6788ea4f9a32083f5ed1ccc27a30f69f05b80784b4cf",
+    }
+
+
+def test_every_table_is_csv_writers_bytes(tmp_path):
+    # Read back and rewritten by csv.writer, each table keeps its bytes only
+    # if none of its cells needs quoting; a comma in a cell would split it,
+    # so every row must also be as wide as the header.
+    for k, args in enumerate([
+        ["simulate", "--n", "4", "--ratio", "5/4", "--perm", "3,1,4,2", "--d", "0.5",
+         "--tmax", "50", "--format", "none"],
+        ["sweep", "--n", "4", "--ratio", "5/4", "--ratio", "6/5", "--d", "0.5",
+         "--tmax-from", "369,50"],
+        COLLAPSE, STOPPING, ["table1"],
+    ]):
+        assert main([*args, "--out", str(tmp_path / "out" / str(k))]) == 0
+    tables = sorted((tmp_path / "out").rglob("*.csv"))
+    assert {path.name for path in tables} == {
+        "series.csv", "average_curves.csv", "permutation_norms.csv", "fits.csv",
+        "collapse.csv", "stopping_times.csv", "table1.csv"}
+    for path in tables:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])}, path
+        with open(tmp_path / "copy.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert (tmp_path / "copy.csv").read_bytes() == path.read_bytes(), path
 
 
 # A diffusive raster of 121 rows of L = 1484 sites, streamed row by row
