@@ -1,11 +1,11 @@
 """File export: every output file is written here, and only here.
 
-CSV tables go through write_csv's one row template, numeric columns by
-way of _write_columns; JSON documents go through write_json; space-time
-fields are P5 graymaps or raw float matrices. Rows are built from Python
-scalars (tolist, int, float), never NumPy scalars, whose text differs.
-A verb writes its files inside output_dir, which keeps them out of the
-output directory unless it succeeds.
+CSV tables go through write_csv's one row template, numeric columns that
+repeat their values by way of _write_columns; JSON documents go through
+write_json; space-time fields are P5 graymaps or raw float matrices.
+Rows are built from Python scalars (tolist, int, float), never NumPy
+scalars, whose text differs. A verb writes its files inside output_dir,
+which keeps them out of the output directory unless it succeeds.
 """
 
 from __future__ import annotations
@@ -198,12 +198,16 @@ def export_ensemble(ens: EnsembleResult, out_dir) -> Path:
 
 
 def export_collapse(cr: CollapseResult, path) -> Path:
-    """Rescaled-collapse table: grid, mean, spread band, then each curve."""
+    """Rescaled-collapse table: grid, mean, spread band, then each curve.
+
+    Its values are mostly distinct, so its rows go to write_csv as one chunk.
+    """
     lo = np.maximum(cr.mean_curve - cr.std_curve, 0.0)
     hi = cr.mean_curve + cr.std_curve
-    return _write_columns(path, ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
-                          + [f"curve_{k}" for k in range(len(cr.curves))],
-                          (cr.grid, cr.mean_curve, cr.std_curve, lo, hi, *cr.curves))
+    columns = (cr.grid, cr.mean_curve, cr.std_curve, lo, hi, *cr.curves)
+    return write_csv(path, ["t_over_tpe", "mean_norm", "std", "band_lo", "band_hi"]
+                     + [f"curve_{k}" for k in range(len(cr.curves))],
+                     [zip(*(column.tolist() for column in columns))])
 
 
 def export_steepening(rows, path) -> Path:

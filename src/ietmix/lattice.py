@@ -20,7 +20,7 @@ import numpy as np
 
 from .diffusion import StabilityError
 from .metrics import MetricSeries, mixing_norm
-from .permutations import Perm, as_orders, as_permutation, as_piece_count
+from .permutations import Perm, as_orders, as_permutation, as_piece_count, whole_number
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
 _MAX_LENGTH = 2**63 - 1
@@ -40,7 +40,9 @@ class Ratio:
     den: int
 
     def __post_init__(self):
-        num, den = int(self.num), int(self.den)
+        num, den = whole_number(self.num), whole_number(self.den)
+        if num is None or den is None:
+            raise ValueError(f"ratio terms must be integers, got {self.num!r}/{self.den!r}")
         if num <= 0 or den <= 0:
             raise ValueError(f"ratio terms must be positive, got {num}/{den}")
         g = math.gcd(num, den)
@@ -155,9 +157,10 @@ class Protocol:
                 f"diffusivity {self.d} outside the stable range [0, 1/2]"
             )
         object.__setattr__(self, "d", float(self.d))
-        if int(self.t_max) != self.t_max or self.t_max < 0:
-            raise ValueError(f"t_max must be a nonnegative integer, got {self.t_max}")
-        object.__setattr__(self, "t_max", int(self.t_max))
+        t_max = whole_number(self.t_max)
+        if t_max is None or t_max < 0:
+            raise ValueError(f"t_max must be a nonnegative integer, got {self.t_max!r}")
+        object.__setattr__(self, "t_max", t_max)
 
 
 def _runs(block: np.ndarray, starts_mask: np.ndarray, bounds: np.ndarray):
@@ -236,8 +239,8 @@ def evolve(
     arrays, row k equal bit for bit to compute_series on the fields of
     permutations[k]. Without diffusion each state is a permutation of
     the initial field, and the norm sums sorted deviations, so the norm
-    is evaluated once at T = 0. With runs=False the run scan is skipped
-    and cut_count and percent_unmixed are None.
+    is one read-only broadcast of its T = 0 value. With runs=False the
+    run scan is skipped and cut_count and percent_unmixed are None.
 
     observe, when given, is called once all buffers are allocated, with
     the (k·P, L) array of the k states of each such block of
@@ -270,10 +273,9 @@ def evolve(
         counts = np.empty((rows, t_max + 1), dtype=np.int64)
         longest = np.empty((rows, t_max + 1), dtype=np.int64)
 
-    norms = np.empty((rows, t_max + 1))
     cbar = float(field.mean())
-    if d == 0.0:
-        norms[:] = mixing_norm(field, cbar, p)
+    norms = (np.empty((rows, t_max + 1)) if d > 0.0  # without diffusion, one read-only value
+             else np.broadcast_to(mixing_norm(field, cbar, p), (rows, t_max + 1)))
     # Every view an iteration touches, built once per slot rather than sliced anew
     # each step: the previous slot's flat sites, the gather's target, and the
     # block, its interior and its end columns.

@@ -71,13 +71,13 @@ class MetricSeries:
     """Per-iteration mixing diagnostics of one run, or of an ensemble.
 
     The metric arrays have shape (T+1,) for one run and (P, T+1) for an
-    ensemble of P shuffle orders, row k holding order k; t is always
-    the (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely
-    on exact-equality runs of values, so they are faithful striation
-    diagnostics only for diffusion-free (D = 0) dynamics. A run metric
-    that was not computed is None, and so is mean_subseg_len without
-    cut_count. cbar is the reference color frozen from T = 0 and reused
-    at every iteration.
+    ensemble of P shuffle orders, row k holding order k; a D = 0 ensemble's
+    norm is one read-only broadcast of its T = 0 value. t is always the
+    (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely on
+    exact-equality runs of values, so they are faithful striation diagnostics
+    only for diffusion-free (D = 0) dynamics. A run metric that was not
+    computed is None, and so is mean_subseg_len without cut_count. cbar is
+    the reference color frozen from T = 0 and reused at every iteration.
     """
 
     cut_count: np.ndarray | None
@@ -92,7 +92,10 @@ class MetricSeries:
 
     @property
     def mean_subseg_len(self) -> np.ndarray | None:
-        return None if self.cut_count is None else 1.0 / (self.cut_count + 1.0)
+        if self.cut_count is None:
+            return None
+        lengths = self.cut_count + 1.0
+        return np.divide(1.0, lengths, out=lengths)  # in place: one buffer, the same bits
 
     def __len__(self) -> int:
         return self.mixing_norm.shape[-1]

@@ -25,13 +25,19 @@ FIXED_BLOCK = "fixed-consecutive-block"
 RULES = (REDUCIBLE, ROTATION, FIXED_ENDPOINT, FIXED_BLOCK)
 
 
+def whole_number(value) -> int | None:
+    """value as an int if it is a whole number (5 or 5.0), else None (5.5, inf, nan, "5")."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return whole if whole == value else None
+
+
 def as_piece_count(n) -> int:
     """The piece count n as an int, refused unless it is a whole number in 2..9."""
-    try:
-        count = int(n)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count != n or not 2 <= count <= 9:
+    count = whole_number(n)
+    if count is None or not 2 <= count <= 9:
         raise ValueError(f"piece count must be an integer in 2..9, got {n!r}")
     return count
 

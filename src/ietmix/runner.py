@@ -30,12 +30,12 @@ class EnsembleResult:
 
     permutations is the checked (P, N) int64 array of the orders and
     series holds the (P, T+1) metric arrays, row k for permutations[k],
-    and the rest is derived from it on read. Averages are means over the
-    orders in the listed order, so they are bit-reproducible. A diffusive
-    ensemble fits its averaged norm on the first read of fit, and t_pe is
-    the e-folding scale of a converged fit; without diffusion the norm
-    cannot decay, so both are None. avg_cut and avg_subseg are None when
-    the run metrics were skipped.
+    and the rest is derived from it. Each average is a mean over the
+    orders in the listed order, so it is bit-reproducible, taken on its
+    first read and kept. A diffusive ensemble fits its averaged norm on
+    the first read of fit, and t_pe is the e-folding scale of a converged
+    fit; without diffusion the norm cannot decay, so both are None.
+    avg_cut and avg_subseg are None when the run metrics were skipped.
     """
 
     n: int
@@ -46,16 +46,16 @@ class EnsembleResult:
     permutations: np.ndarray
     series: MetricSeries
 
-    @property
+    @cached_property
     def avg_norm(self) -> np.ndarray:
         return self.series.mixing_norm.mean(axis=0)
 
-    @property
+    @cached_property
     def avg_cut(self) -> np.ndarray | None:
         cuts = self.series.cut_count
         return None if cuts is None else cuts.mean(axis=0)
 
-    @property
+    @cached_property
     def avg_subseg(self) -> np.ndarray | None:
         lengths = self.series.mean_subseg_len
         return None if lengths is None else lengths.mean(axis=0)
@@ -86,10 +86,10 @@ def run_ensemble(
 
     Diffusive orders evolve together as one batched block
     (lattice.evolve). Without diffusion every state is a permutation of
-    the initial field, so every norm keeps its T = 0 value, and the cut
-    counts come from lattice.cut_counts, which follows only the piece
-    ends. runs=False leaves the cut counts and runs out of the series,
-    and evolve skips its run scan.
+    the initial field, so the norm is its T = 0 value, held once as a
+    read-only broadcast; the cut counts come from lattice.cut_counts,
+    which follows only the piece ends. runs=False leaves the cut counts
+    and runs out of the series, and evolve skips its run scan.
     """
     n = as_piece_count(n)
     orders = as_orders(screen(n)[0] if permutations is None else permutations)
@@ -97,7 +97,7 @@ def run_ensemble(
         counts = cut_counts(n, ratio, t_max, orders)  # also checks n and t_max
         field = initial_field(n, ratio)
         cbar = float(field.mean())
-        norms = np.full(counts.shape, mixing_norm(field, cbar, p))
+        norms = np.broadcast_to(mixing_norm(field, cbar, p), counts.shape)
         series = MetricSeries(counts if runs else None, None, norms, float(p), cbar)
     else:
         series = evolve(n, ratio, d, t_max, orders, p=p, runs=runs)

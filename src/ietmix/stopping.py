@@ -60,17 +60,20 @@ def solve_stopping_time(
     answer is the first integer satisfying the inequality; the
     interpolated crossing is reported alongside.
     """
+    if not t_max >= 1:
+        raise ValueError(f"t_max must be at least 1, got {t_max}")
     cuts = np.asarray(avg_cuts, dtype=np.float64)
     if cuts.ndim != 1 or cuts.size != t_max + 1:
         raise ValueError(
             f"avg_cuts must cover T = 0..{t_max}, got {cuts.size} entries"
         )
-    if mean_lengths is None:
-        lengths = 1.0 / (cuts + 1.0)
-    else:
-        lengths = np.asarray(mean_lengths, dtype=np.float64)
-        if lengths.shape != cuts.shape:
-            raise ValueError("mean_lengths must match avg_cuts in shape")
+    given = None if mean_lengths is None else np.asarray(mean_lengths, dtype=np.float64)
+    if given is not None and given.shape != cuts.shape:
+        raise ValueError("mean_lengths must match avg_cuts in shape")
+    for name, values in (("avg_cuts", cuts), ("mean_lengths", given)):
+        if values is not None and not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError(f"{name} must be finite and nonnegative")
+    lengths = 1.0 / (cuts + 1.0) if given is None else given
 
     g = batchelor_length(np.arange(t_max + 1) / t_max, pe) - lengths
     hits = np.flatnonzero(g[1:] >= 0.0)

@@ -201,6 +201,30 @@ def test_cut_counts_hold_little_beyond_their_answer():
     assert peak < 2 * counts.nbytes
 
 
+# The striation lengths are divided in place: one buffer beside the cut counts.
+def test_mean_subseg_len_holds_one_buffer():
+    series = run_ensemble(6, Ratio(5, 4), 0.0, 200).series
+    tracemalloc.start()
+    try:
+        lengths = series.mean_subseg_len
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lengths.shape == series.cut_count.shape
+    assert peak < 1.5 * lengths.nbytes
+
+
+# Without diffusion the norm never changes, so it is held once: a
+# read-only broadcast of one value, not a (P, T+1) array of copies.
+def test_diffusion_free_norm_is_one_read_only_value():
+    orders = enumerate_allowed(4)
+    for norm in (evolve(4, Ratio(9, 5), 0.0, 60, orders).mixing_norm,
+                 run_ensemble(4, Ratio(9, 5), 0.0, 60).series.mixing_norm):
+        assert norm.shape == (len(orders), 61)
+        assert norm.strides == (0, 0)
+        assert not norm.flags.writeable
+
+
 def test_cut_counts_refuse_rows_beyond_64_bits():
     # Two rows of L = 2**62 + 1 sites lie end to end past 2**63 - 1.
     with pytest.raises(CapacityError):

@@ -38,6 +38,11 @@ def test_ratio_rejects_non_expanding_values():
         Ratio(0, 1)
     with pytest.raises(ValueError):
         Ratio(5, -4)
+    # A term that is not a whole number is refused, not truncated.
+    for num, den in ((11.9, 10), (5, 4.5), (float("inf"), 4), (5, float("nan")), ("5", 4)):
+        with pytest.raises(ValueError, match="ratio terms must be integers"):
+            Ratio(num, den)
+    assert Ratio(5.0, 4.0) == Ratio(5, 4)
 
 
 def test_ratio_parse_fractions_only():
@@ -149,8 +154,10 @@ def test_protocol_normalizes_and_validates():
         Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=0.6)
     with pytest.raises(ValueError):
         Protocol(n=4, ratio=Ratio(3, 2), permutation=(2, 1, 3))
-    with pytest.raises(ValueError):
-        Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), t_max=-1)
+    for t_max in (-1, 2.5, float("inf"), float("nan"), "5"):
+        with pytest.raises(ValueError, match="t_max must be a nonnegative integer"):
+            Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), t_max=t_max)
+    assert Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), t_max=5.0).t_max == 5
 
 
 def test_iterate_records_every_step():

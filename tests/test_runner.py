@@ -191,6 +191,13 @@ def test_ensemble_fits_on_the_first_read_only(fit_calls):
     assert len(fit_calls) == 1
 
 
+@pytest.mark.parametrize("d", [0.0, 0.5])
+def test_each_average_is_taken_once(d):
+    ens = run_ensemble(4, Ratio(3, 2), d, 60)
+    for name in ("avg_norm", "avg_cut", "avg_subseg"):
+        assert getattr(ens, name) is getattr(ens, name), name
+
+
 def test_diffusion_free_ensemble_fits_nothing(fit_calls):
     ens = run_ensemble(4, Ratio(3, 2), 0.0, 50)
     assert ens.fit is None and ens.t_pe is None

@@ -101,6 +101,17 @@ def test_input_validation():
         solve_stopping_time(np.zeros(6), 0.0, 5)
     with pytest.raises(ValueError):
         solve_stopping_time(np.zeros(6), 10.0, 5, mean_lengths=np.ones(4))
+    # Inputs that would warn, divide by zero or report a false crossing.
+    for t_max in (0, -1):
+        with pytest.raises(ValueError, match="t_max"):
+            solve_stopping_time(np.zeros(t_max + 1), 10.0, t_max)
+    for bad in (-1.0, float("inf"), float("nan")):
+        cuts = np.zeros(6)
+        cuts[3] = bad
+        with pytest.raises(ValueError, match="avg_cuts"):
+            solve_stopping_time(cuts, 10.0, 5)
+        with pytest.raises(ValueError, match="mean_lengths"):
+            solve_stopping_time(np.zeros(6), 10.0, 5, mean_lengths=cuts)
 
 
 def test_interpolated_crossing_brackets_the_residual_root():
