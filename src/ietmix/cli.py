@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -56,7 +57,9 @@ from .io import (
 )
 from .lattice import Protocol, Ratio, evolve, total_length
 from .permutations import RULES, screen
-from .runner import collapse, run_ensemble, run_ensembles, steepening_report, table_one
+from .runner import (
+    collapse, run_ensemble, run_ensembles, run_jobs, steepening_report, table_one, two_cores,
+)
 
 
 def _add_common(sub):
@@ -271,9 +274,18 @@ def _cmd_simulate(args) -> int:
     fmt = args.format
     pe = peclet_number(length, d, t_max) if d > 0 and t_max > 0 else None
     with output_dir(args.out) as out:
-        with (contextlib.nullcontext() if fmt == "none" else
-              SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
-            series = evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster)
+        def scan(**scans):  # the evolution that writes the raster
+            with (contextlib.nullcontext() if fmt == "none" else
+                  SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
+                return evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster, **scans)
+
+        if two_cores(2):  # a forked child scans the runs while this process scores the norms
+            scored, runs = run_jobs([
+                lambda: evolve(args.n, ratio, d, t_max, [perm], p=args.p, runs=False),
+                lambda: scan(norms=False)], ([0], [1]))
+            series = dataclasses.replace(runs, mixing_norm=scored.mixing_norm)
+        else:
+            series = scan()
         export_series(series.row(0), out / "series.csv")
         write_record(out / "metadata.json", {
             "n": args.n, "ratio": {"num": ratio.num, "den": ratio.den}, "permutation": list(perm),

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .permutations import whole_number
+
 
 class StabilityError(ValueError):
     """Diffusivity outside the explicit-scheme stability window [0, 1/2]."""
@@ -44,10 +46,16 @@ def match_iterations(l_ref: int, t_max_ref: int, l_new: int) -> int:
     Equal total dimensionless diffusion D*T/L^2 across lattices requires
     T_new = (l_new/l_ref)^2 * t_max_ref; the result is rounded up to a
     whole iteration. Exact integer arithmetic throughout, so huge
-    lattices cannot pick up floating-point drift.
+    lattices cannot pick up floating-point drift; each argument must be a
+    positive whole number (5.0 passes as 5).
     """
-    if l_ref <= 0 or t_max_ref <= 0 or l_new <= 0:
-        raise ValueError("lattice lengths and iteration budget must be positive")
+    given = {"l_ref": l_ref, "t_max_ref": t_max_ref, "l_new": l_new}
+    for name, value in given.items():
+        whole = whole_number(value)
+        if whole is None or whole <= 0:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        given[name] = whole
+    l_ref, t_max_ref, l_new = given.values()
     num = l_new * l_new * t_max_ref
     den = l_ref * l_ref
     return -(-num // den)

@@ -14,12 +14,13 @@ One iteration of the dynamics is shuffle first, then one diffusion sweep
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffusion import StabilityError
-from .metrics import MetricSeries, mixing_norm
+from .metrics import MetricSeries, check_norm_order, mixing_norm
 from .permutations import Perm, as_orders, as_permutation, as_piece_count, whole_number
 
 #: Piece lengths and the total length must stay indexable by 64-bit ints.
@@ -152,7 +153,9 @@ class Protocol:
         if len(perm) != self.n:
             raise ValueError(f"permutation {perm} does not act on {self.n} pieces")
         object.__setattr__(self, "permutation", perm)
-        if not 0.0 <= self.d <= 0.5:
+        if not isinstance(self.d, numbers.Real):  # "0.1" would pass float()
+            raise ValueError(f"diffusivity must be a real number, got {self.d!r}")
+        if not 0.0 <= self.d <= 0.5:  # NaN and inf too
             raise StabilityError(
                 f"diffusivity {self.d} outside the stable range [0, 1/2]"
             )
@@ -218,7 +221,7 @@ def _slots(n: int, ratio: Ratio, orders: np.ndarray):
 
 def evolve(
     n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
-    observe=None, runs: bool = True,
+    observe=None, runs: bool = True, norms: bool = True,
 ) -> MetricSeries:
     """Run every shuffle order of one (N, r, D, T_max) family at once.
 
@@ -240,7 +243,8 @@ def evolve(
     permutations[k]. Without diffusion each state is a permutation of
     the initial field, and the norm sums sorted deviations, so the norm
     is one read-only broadcast of its T = 0 value. With runs=False the
-    run scan is skipped and cut_count and percent_unmixed are None.
+    run scan is skipped and cut_count and percent_unmixed are None; with
+    norms=False the norm scan is, and mixing_norm is None.
 
     observe, when given, is called once all buffers are allocated, with
     the (k·P, L) array of the k states of each such block of
@@ -251,8 +255,7 @@ def evolve(
     Returns one MetricSeries at norm order p holding those arrays.
     """
     n, d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"norm order must be a finite p >= 1, got {p}")
+    check_norm_order(p)
     field, p = initial_field(n, ratio), float(p)
     rows, length = len(orders), field.size
 
@@ -273,9 +276,10 @@ def evolve(
         counts = np.empty((rows, t_max + 1), dtype=np.int64)
         longest = np.empty((rows, t_max + 1), dtype=np.int64)
 
-    cbar = float(field.mean())
-    norms = (np.empty((rows, t_max + 1)) if d > 0.0  # without diffusion, one read-only value
-             else np.broadcast_to(mixing_norm(field, cbar, p), (rows, t_max + 1)))
+    cbar, scores = float(field.mean()), None
+    if norms:
+        scores = (np.empty((rows, t_max + 1)) if d > 0.0  # without diffusion, one read-only value
+                  else np.broadcast_to(mixing_norm(field, cbar, p), (rows, t_max + 1)))
     # Every view an iteration touches, built once per slot rather than sliced anew
     # each step: the previous slot's flat sites, the gather's target, and the
     # block, its interior and its end columns.
@@ -313,10 +317,10 @@ def evolve(
         if runs:
             counts.T[done].flat, longest.T[done].flat = _runs(
                 states, starts_mask[: states.size + 1], bounds[: len(states) + 1])
-        if d > 0.0:
-            norms.T[done].flat = _norms(states, scratch[: len(states)], cbar, p)
+        if norms and d > 0.0:
+            scores.T[done].flat = _norms(states, scratch[: len(states)], cbar, p)
     return MetricSeries(counts, None if longest is None else 100.0 * longest / length,
-                        norms, p, cbar)
+                        scores, p, cbar)
 
 
 def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:

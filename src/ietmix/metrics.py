@@ -46,6 +46,12 @@ def average_color(field) -> float:
     return float(_as_field(field).mean())
 
 
+def check_norm_order(p) -> None:
+    """Refuse a norm order that is not a finite p >= 1."""
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm order must be a finite p >= 1, got {p}")
+
+
 def mixing_norm(field, cbar: float | None = None, p: float = 2.0) -> float:
     """Length-weighted p-norm distance from the reference color cbar.
 
@@ -56,14 +62,19 @@ def mixing_norm(field, cbar: float | None = None, p: float = 2.0) -> float:
     under any permutation of the field.
     """
     c = _as_field(field)
-    if not 1.0 <= p < math.inf:
-        raise ValueError(f"norm order must be a finite p >= 1, got {p}")
+    check_norm_order(p)
     if cbar is None:
         cbar = average_color(c)
     dev = np.abs(c - cbar)
     powed = dev * dev if p == 2 else dev**p
     powed.sort()
     return float((powed.sum() / c.size) ** (1.0 / p))
+
+
+def mean_lengths(cut_count) -> np.ndarray:
+    """Mean striation length as a fraction of L, 1/(C+1), of each cut count C."""
+    lengths = np.asarray(cut_count) + 1.0
+    return np.divide(1.0, lengths, out=lengths)  # in place: one buffer, the same bits
 
 
 @dataclass(frozen=True)
@@ -76,13 +87,15 @@ class MetricSeries:
     (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely on
     exact-equality runs of values, so they are faithful striation diagnostics
     only for diffusion-free (D = 0) dynamics. A run metric that was not
-    computed is None, and so is mean_subseg_len without cut_count. cbar is
-    the reference color frozen from T = 0 and reused at every iteration.
+    computed is None, and so is mean_subseg_len without cut_count; only a
+    run scan made apart from its norms (lattice.evolve with norms=False)
+    leaves mixing_norm None. cbar is the reference color frozen from T = 0
+    and reused at every iteration.
     """
 
     cut_count: np.ndarray | None
     percent_unmixed: np.ndarray | None
-    mixing_norm: np.ndarray
+    mixing_norm: np.ndarray | None
     p: float
     cbar: float
 
@@ -92,10 +105,7 @@ class MetricSeries:
 
     @property
     def mean_subseg_len(self) -> np.ndarray | None:
-        if self.cut_count is None:
-            return None
-        lengths = self.cut_count + 1.0
-        return np.divide(1.0, lengths, out=lengths)  # in place: one buffer, the same bits
+        return None if self.cut_count is None else mean_lengths(self.cut_count)
 
     def __len__(self) -> int:
         return self.mixing_norm.shape[-1]

@@ -19,7 +19,7 @@ import numpy as np
 from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
 from .lattice import Ratio, cut_counts, evolve, initial_field, total_length
-from .metrics import MetricSeries, mixing_norm
+from .metrics import MetricSeries, check_norm_order, mean_lengths, mixing_norm
 from .permutations import as_orders, as_piece_count, screen
 from .stopping import StoppingTimeSolution, solve_stopping_time
 
@@ -104,14 +104,14 @@ def run_ensemble(
     return EnsembleResult(n, ratio, float(d), int(t_max), float(p), orders, series)
 
 
-def _run_group(jobs: list[dict], indices) -> dict:
-    """{k: (True, result) or (False, exception)} for the jobs listed, run in
+def _run_group(jobs: list, indices) -> dict:
+    """{k: (True, jobs[k]()) or (False, exception)} for the jobs listed, run in
     job order up to and including the first that fails."""
     outcomes = {}
     for k in sorted(indices):
         try:
-            outcomes[k] = True, run_ensemble(**jobs[k])
-        except Exception as exc:  # carried to run_ensembles, which raises it in job order
+            outcomes[k] = True, jobs[k]()
+        except Exception as exc:  # carried to run_jobs, which raises it in job order
             outcomes[k] = False, exc
             break
     return outcomes
@@ -133,17 +133,16 @@ def _split(jobs: list[dict]) -> tuple[list[int], list[int]]:
     return groups
 
 
-def _with_child(jobs: list[dict], mine: list[int], theirs: list[int]) -> dict:
+def _with_child(jobs: list, mine: list[int], theirs: list[int]) -> dict:
     """Run `theirs` in one forked child while this process runs `mine`.
 
-    The child runs only run_ensemble (no fit, so no BLAS call in a fork
-    of a process with BLAS threads), then pickles its outcomes down a
-    pipe and leaves with os._exit, so it flushes no inherited buffer and
-    runs no exit handler. The child is always reaped here, and killed
-    first when this process fails before reading its reply; a child that
-    ends without its outcomes, killed by the OOM killer for instance,
-    raises ChildProcessError. When the fork itself fails, every job runs
-    here.
+    The child runs no fit (so no BLAS call in a fork of a process with
+    BLAS threads), then pickles its outcomes down a pipe and leaves with
+    os._exit, so it flushes no inherited buffer and runs no exit handler.
+    The child is always reaped here, and killed first when this process
+    fails before reading its reply; a child that ends without its
+    outcomes, killed by the OOM killer for instance, raises
+    ChildProcessError. When the fork itself fails, every job runs here.
     """
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
@@ -173,30 +172,32 @@ def _with_child(jobs: list[dict], mine: list[int], theirs: list[int]) -> dict:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         ending = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
-        raise ChildProcessError(f"the forked ensemble run ended without its results ({ending})")
+        raise ChildProcessError(f"the forked child ended without its results ({ending})")
     outcomes.update(pickle.loads(reply))
     return outcomes
 
 
-def run_ensembles(jobs) -> list[EnsembleResult]:
-    """[run_ensemble(**job) for job in jobs], bit for bit and in job order, on two cores.
+def two_cores(jobs: int) -> bool:
+    """Whether `jobs` jobs may run in two processes: more than one job, os.fork,
+    and more than one CPU in os.sched_getaffinity(0) (a platform without it
+    counts as one)."""
+    return (jobs > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
 
-    Ensembles share nothing, so _split deals the jobs into two groups of
-    about equal cost, and one forked child runs the second while this
-    process runs the first. Each job is run as run_ensemble would run it
-    alone, so each result has the same bytes. With one job, one CPU in
-    os.sched_getaffinity(0) (a platform without it counts as one), no
-    os.fork, or a fork that fails, every job runs here through the same
-    loop. Each group runs in job order and stops at its first failure, so
-    the loop below meets a failure before any job left unrun, and raises
-    the serial loop's failure: the first in job order, its type and text.
+
+def run_jobs(jobs, groups) -> list:
+    """[job() for job in jobs] for zero-argument jobs, in job order.
+
+    With groups, a pair of lists of job indices, one forked child runs
+    the jobs of the second while this process runs the first (see
+    _with_child; a fork that fails runs every job here); with None,
+    every job runs here. Each group runs in job order and stops at its first
+    failure, so the loop below meets a failure before any job left
+    unrun, and raises the serial loop's failure: the first in job order,
+    its type and text.
     """
     jobs = list(jobs)
-    if (len(jobs) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1):
-        outcomes = _with_child(jobs, *_split(jobs))
-    else:
-        outcomes = _run_group(jobs, range(len(jobs)))
+    outcomes = _with_child(jobs, *groups) if groups else _run_group(jobs, range(len(jobs)))
     results = []
     for k in range(len(jobs)):
         ok, value = outcomes[k]
@@ -204,6 +205,20 @@ def run_ensembles(jobs) -> list[EnsembleResult]:
             raise value
         results.append(value)
     return results
+
+
+def run_ensembles(jobs) -> list[EnsembleResult]:
+    """[run_ensemble(**job) for job in jobs], bit for bit and in job order, on two cores.
+
+    Ensembles share nothing, so when two_cores allows, _split deals the
+    jobs into two groups of about equal cost, and run_jobs runs the
+    second in a forked child while this process runs the first. Each job
+    is run as run_ensemble would run it alone, so each result has the
+    same bytes, and the first failure in job order is raised.
+    """
+    jobs = list(jobs)
+    return run_jobs([lambda job=job: run_ensemble(**job) for job in jobs],
+                    _split(jobs) if two_cores(len(jobs)) else None)
 
 
 @dataclass(frozen=True)
@@ -274,9 +289,10 @@ def steepening_report(
 ) -> list[SteepeningRow]:
     """Stopping times, and the cut-off sharpening, across an ascending Peclet sweep.
 
-    The diffusion-free ensemble runs once; its cut curve predicts the
-    stopping time of every Pe. Each Pe's diffusivity is derived, and its
-    stability checked, by diffusivity_from_peclet. With max_slopes the
+    The diffusion-free cut counts of every allowed order are followed
+    once, by lattice.cut_counts, which needs no field; their average
+    predicts the stopping time of every Pe. Each Pe's diffusivity is
+    derived, and its stability checked, by diffusivity_from_peclet. With max_slopes the
     diffusive ensemble of each Pe whose crossing happens is run too, and
     the steepest descent of norm/M against T / stopping time reported
     (only their averaged norm is read, so none is fitted); otherwise
@@ -288,16 +304,19 @@ def steepening_report(
         raise ValueError("pe_list must be nonempty and positive")
     if any(b <= a for a, b in zip(pe_seq, pe_seq[1:])):
         raise ValueError("pe_list must be strictly ascending")
+    check_norm_order(p)  # refused even when no norm is taken
     length = total_length(n, ratio)
     diffusivities = [diffusivity_from_peclet(length, pe, t_max) for pe in pe_seq]
-    base = run_ensemble(n, ratio, 0.0, t_max, p=p)
-    lengths_curve = base.avg_subseg if use_mean_lengths else None
+    orders = as_orders(screen(n)[0])
+    counts = cut_counts(n, ratio, t_max, orders)  # no field: only the cut counts are read
+    avg_cut = counts.mean(axis=0)  # EnsembleResult's averages, so the same bits
+    lengths_curve = mean_lengths(counts).mean(axis=0) if use_mean_lengths else None
     rows = []
     for pe, d in zip(pe_seq, diffusivities):
-        sol = solve_stopping_time(base.avg_cut, pe, t_max, mean_lengths=lengths_curve)
+        sol = solve_stopping_time(avg_cut, pe, t_max, mean_lengths=lengths_curve)
         max_slope = None
         if max_slopes and sol.found:
-            ens = run_ensemble(n, ratio, d, t_max, base.permutations, p=p, runs=False)
+            ens = run_ensemble(n, ratio, d, t_max, orders, p=p, runs=False)
             drop = np.abs(np.diff(ens.avg_norm / ens.m))
             max_slope = float(drop.max()) * sol.interpolated
         rows.append(SteepeningRow(pe=pe, d=d, solution=sol, max_slope=max_slope))

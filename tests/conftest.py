@@ -1,4 +1,4 @@
-"""Suite-wide reporting helpers, and the differential gate on every fit.
+"""Suite-wide reporting helpers, fork fixtures, and the differential gate on every fit.
 
 The acceptance tests record a one-line verdict per criterion; echoing them
 in the terminal summary keeps the checklist visible even when every test
@@ -11,6 +11,8 @@ given the port's fixed bounds, tolerances and evaluation cap, and the two
 must agree bit for bit: the same x (tau, alpha), residuals (sse),
 evaluation count and status (converged), or the same ValueError text.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +32,32 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance checklist")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test if it leaves a child process behind, reaped or not.
+
+    Every test that may fork uses it, so a child left behind fails the
+    test that left it.
+    """
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made in this process; each still forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
 
 
 def scipy_solve(fun, x0, jac, x_scale):

@@ -5,14 +5,16 @@ import csv
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ietmix
-from ietmix import permutations
+from ietmix import cli, permutations
 from ietmix.cli import build_parser, main
 
 
@@ -50,7 +52,7 @@ def test_list_permutations_rejected(capsys):
     assert "4231 rejected: fixed-consecutive-block" in out
 
 
-def test_simulate_writes_series_raster_metadata(tmp_path, capsys):
+def test_simulate_writes_series_raster_metadata(tmp_path, capsys, reaped):
     code = run_cli(
         "simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
         "--tmax", "2", "--out", str(tmp_path),
@@ -74,6 +76,110 @@ def test_simulate_format_none_skips_raster(tmp_path):
     )
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == ["metadata.json", "series.csv"]
+
+
+# simulate forks one child, which scans the runs and writes the raster while
+# this process scores the norms, when it may use two CPUs. Every way of
+# running it writes the bytes of the single-process run, the one-CPU run,
+# which evolves once with both scans.
+SIMULATE = ["simulate", "--n", "4", "--ratio", "9/5", "--perm", "3,1,4,2", "--d", "0.3",
+            "--tmax", "120"]
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_simulate_forks_once_on_two_cpus_and_never_on_one(monkeypatch, reaped, forks,
+                                                           tmp_path, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert run_cli(*SIMULATE, "--out", str(tmp_path)) == 0
+    assert len(forks) == (len(cpus) > 1)
+
+
+_FORK_ERRORS = {"eagain": BlockingIOError(11, "Resource temporarily unavailable"),
+                "enomem": OSError(12, "Cannot allocate memory")}
+
+
+def _simulate_run(argv, cwd: Path, monkeypatch, capsys):
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = run_cli(*argv, "--out", "out")
+    return code, capsys.readouterr(), {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}
+
+
+@pytest.mark.parametrize("fmt", ["pgm", "csv"])
+@pytest.mark.parametrize("how", ["two-cpus", "one-cpu", "no-fork", "eagain", "enomem"])
+def test_simulate_writes_the_single_process_bytes(monkeypatch, reaped, tmp_path, capsys,
+                                                  how, fmt):
+    argv = [*SIMULATE, "--format", fmt]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = _simulate_run(argv, tmp_path / "serial", monkeypatch, capsys)
+    attempts, fork = [], os.fork
+
+    def counted():  # a fork that fails does so as under a pids limit, or without memory
+        attempts.append(how)
+        if how in _FORK_ERRORS:
+            raise _FORK_ERRORS[how]
+        return fork()
+
+    if how == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if how == "one-cpu" else {0, 1})
+    assert _simulate_run(argv, tmp_path / how, monkeypatch, capsys) == serial
+    assert serial[0] == 0 and sorted(serial[2]) == ["metadata.json", "series.csv",
+                                                    f"spacetime.{fmt}"]
+    assert len(attempts) == (how in ("two-cpus", *_FORK_ERRORS))
+
+
+def _evolve_by_process(monkeypatch, here, child):
+    """Two CPUs, and cli.evolve's arguments going to here(evolve, ...) in this
+    process and to child(evolve, ...) in a forked child."""
+    parent, evolve = os.getpid(), cli.evolve
+
+    def patched(*args, **kwargs):
+        return (here if os.getpid() == parent else child)(evolve, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", patched)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return parent
+
+
+def _run(evolve, *args, **kwargs):
+    return evolve(*args, **kwargs)
+
+
+def _die(evolve, *args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupt(evolve, *args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def _sleep(evolve, *args, **kwargs):
+    time.sleep(60)  # far longer than the test waits
+
+
+def test_a_killed_raster_child_ends_simulate_with_one_error_line(monkeypatch, reaped,
+                                                                 tmp_path, capsys):
+    _evolve_by_process(monkeypatch, _run, _die)
+    assert run_cli(*SIMULATE, "--out", str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the forked child ended without its results "
+                            "(killed by signal 9)\n")
+    assert os.listdir(tmp_path) == []  # neither --out nor the stage
+
+
+def test_a_failing_simulate_kills_and_reaps_its_raster_child(monkeypatch, reaped, forks,
+                                                              tmp_path):
+    parent = _evolve_by_process(monkeypatch, _interrupt, _sleep)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(*SIMULATE, "--out", str(tmp_path / "out"))
+    assert time.monotonic() - start < 30
+    assert forks == [parent]
+    assert os.listdir(tmp_path) == []
 
 
 def test_simulate_resolves_peclet_to_diffusivity(tmp_path):
@@ -293,6 +399,25 @@ def test_stopping_time_length_mode_differs(tmp_path, capsys):
             "--pe", "8000", "--lm-mode", "length", "--out", str(tmp_path))
     length_rows = list(csv.reader((tmp_path / "stopping_times.csv").read_text().splitlines()))
     assert int(length_rows[1][3]) > int(count_rows[1][3])
+
+
+_UNDER_2_GB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from ietmix.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_stopping_time_reads_no_field(tmp_path):
+    # L = 4.0e12 sites, a field of 29.1 TiB; the cut counts follow the piece ends.
+    proc = _probe(_UNDER_2_GB, ["stopping-time", "--n", "4", "--ratio", "10001/10000",
+                                "--tmax", "3", "--pe", "1e30", "--out", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pe=1e+30: no crossing within tmax=3\n"
+    with open(tmp_path / "out" / "stopping_times.csv", newline="") as fh:
+        [_, row] = list(csv.reader(fh))
+    assert row[2:4] == ["False", ""]
 
 
 def test_config_file_supplies_defaults(tmp_path):

@@ -102,8 +102,20 @@ def test_match_iterations_exact_for_huge_lattices():
 def test_match_iterations_rounds_up():
     assert match_iterations(2, 1, 3) == 3  # ceil(9/4)
     assert match_iterations(3, 4, 3) == 4
+    budget = match_iterations(10.0, 5.0, 20.0)  # whole floats pass as ints
+    assert budget == 20 and type(budget) is int
     with pytest.raises(ValueError):
         match_iterations(0, 1, 1)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((10, 1.5, 20), "t_max_ref"), ((10, float("nan"), 20), "t_max_ref"),
+    ((10, float("inf"), 20), "t_max_ref"), ((10, "5", 20), "t_max_ref"),
+    ((10.5, 5, 20), "l_ref"), ((10, 5, -20), "l_new"), ((10, 0, 20), "t_max_ref"),
+])
+def test_match_iterations_refuses_budgets_that_are_not_positive_whole_numbers(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got "):
+        match_iterations(*args)
 
 
 def test_peclet_number_values():

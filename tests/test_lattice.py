@@ -158,6 +158,12 @@ def test_protocol_normalizes_and_validates():
         with pytest.raises(ValueError, match="t_max must be a nonnegative integer"):
             Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), t_max=t_max)
     assert Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), t_max=5.0).t_max == 5
+    for d in ("0.1", None):
+        with pytest.raises(ValueError, match=r"diffusivity must be a real number, got"):
+            Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=d)
+    for d in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(StabilityError, match=r"diffusivity .* outside the stable range"):
+            Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2), d=d)
 
 
 def test_iterate_records_every_step():

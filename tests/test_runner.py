@@ -120,6 +120,8 @@ def test_steepening_validates_the_sweep():
         steepening_report(4, Ratio(3, 2), 120, [40.0, 20.0])
     with pytest.raises(ValueError):
         steepening_report(4, Ratio(3, 2), 120, [-1.0, 20.0])
+    with pytest.raises(ValueError, match="norm order must be a finite p >= 1, got 0.5"):
+        steepening_report(4, Ratio(3, 2), 120, [40.0], p=0.5, max_slopes=False)
 
 
 def test_table_one_reference_row():
@@ -242,28 +244,6 @@ SMALL_JOBS = [dict(n=4, ratio=Ratio(3, 2), d=0.5, t_max=20),
 CPUS = pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["fork", "one-cpu"])
 
 
-@pytest.fixture
-def reaped():
-    """Fails the test if it leaves a child process behind, reaped or not."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The os.fork calls made in this process; each still forks."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def test_split_deals_the_largest_jobs_first_to_the_lighter_group():
     assert runner._split(COLLAPSE_JOBS) == ([4], [3, 2, 0, 1])
     assert runner._split(STEEPENING_JOBS) == ([0, 2, 4], [1, 3, 5])  # equal costs
@@ -356,7 +336,7 @@ def test_a_killed_child_ends_collapse_with_one_error_line(monkeypatch, reaped, t
                  "--tmax", "60", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == ("error: the forked ensemble run ended without its results "
+    assert captured.err == ("error: the forked child ended without its results "
                             "(killed by signal 9)\n")
     assert not out.exists()
 
