@@ -259,6 +259,11 @@ def _runs(args, texts) -> list[tuple[Ratio, int, int, float]]:
     return runs
 
 
+#: On two cores simulate's forked child also scores the last (T+1)//8 norms, so that it
+#: ends with the verb's own process (measurements in README.md).
+_CHILD_NORMS = 8
+
+
 def _cmd_simulate(args) -> int:
     [(ratio, length, t_max, d)] = _runs(args, [args.ratio])
     try:
@@ -279,11 +284,15 @@ def _cmd_simulate(args) -> int:
                   SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
                 return evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster, **scans)
 
-        if two_cores(2):  # a forked child scans the runs while this process scores the norms
-            scored, runs = run_jobs([
-                lambda: evolve(args.n, ratio, d, t_max, [perm], p=args.p, runs=False),
-                lambda: scan(norms=False)], ([0], [1]))
-            series = dataclasses.replace(runs, mixing_norm=scored.mixing_norm)
+        if two_cores(2):
+            # The child scans the runs, writes the raster and scores the norms from split
+            # on; this process scores those before. A D = 0 norm is one value, held here.
+            split = t_max + 1 - ((t_max + 1) // _CHILD_NORMS if d > 0.0 else 0)
+            head, series = run_jobs([
+                lambda: evolve(args.n, ratio, d, split - 1, [perm], p=args.p, runs=False),
+                lambda: scan(norms=split)], ([0], [1]))
+            series = dataclasses.replace(series, mixing_norm=np.concatenate(
+                (head.mixing_norm, series.mixing_norm), axis=1))
         else:
             series = scan()
         export_series(series.row(0), out / "series.csv")
@@ -304,8 +313,8 @@ def _cmd_list_permutations(args) -> int:
         lines.append("")
         for label, row in zip(order_labels(rejected), broken.tolist()):
             lines.append(f"{label} rejected: " + ", ".join(r for r, hit in zip(RULES, row) if hit))
-    # One write: a print per order took most of the time at n = 9.
-    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    # One write of one join: a print per order took most of the time at n = 9.
+    sys.stdout.write("\n".join([*lines, ""]))
     return 0
 
 

@@ -172,10 +172,14 @@ def _runs(block: np.ndarray, starts_mask: np.ndarray, bounds: np.ndarray):
     starts_mask is a flat boolean buffer of block.size + 1 entries whose
     every row start and last entry are set, so no run crosses a row
     boundary and the last run has an end; bounds are the flat row starts
-    0, L, ..., block.size.
+    0, L, ..., block.size. When every pair of neighbors differs, as in
+    most states of a diffusive run, every row has L - 1 cuts and runs of
+    one site, and the two are returned as those integers.
     """
     mask = starts_mask[:-1].reshape(block.shape)
     np.not_equal(block[:, 1:], block[:, :-1], out=mask[:, 1:])
+    if mask.all():
+        return block.shape[1] - 1, 1
     starts = np.flatnonzero(starts_mask)
     heads = np.searchsorted(starts, bounds)  # each row's first run, then the end
     longest = np.maximum.reduceat(starts[1:] - starts[:-1], heads[:-1])
@@ -221,7 +225,7 @@ def _slots(n: int, ratio: Ratio, orders: np.ndarray):
 
 def evolve(
     n: int, ratio: Ratio, d: float, t_max: int, permutations, p: float = 2.0,
-    observe=None, runs: bool = True, norms: bool = True,
+    observe=None, runs: bool = True, norms: int = 0,
 ) -> MetricSeries:
     """Run every shuffle order of one (N, r, D, T_max) family at once.
 
@@ -243,8 +247,10 @@ def evolve(
     permutations[k]. Without diffusion each state is a permutation of
     the initial field, and the norm sums sorted deviations, so the norm
     is one read-only broadcast of its T = 0 value. With runs=False the
-    run scan is skipped and cut_count and percent_unmixed are None; with
-    norms=False the norm scan is, and mixing_norm is None.
+    run scan is skipped and cut_count and percent_unmixed are None.
+    norms is the first iteration whose norm is scored: mixing_norm holds
+    iterations norms..T_max only, as (P, T_max+1-norms), so 0 scores
+    every state and T_max + 1 none.
 
     observe, when given, is called once all buffers are allocated, with
     the (k·P, L) array of the k states of each such block of
@@ -256,6 +262,9 @@ def evolve(
     """
     n, d, t_max, orders = _orders(n, ratio, d, t_max, permutations)
     check_norm_order(p)
+    if (isinstance(norms, bool) or not isinstance(norms, numbers.Integral)
+            or not 0 <= norms <= t_max + 1):
+        raise ValueError(f"norms must be an iteration in 0..{t_max + 1}, got {norms!r}")
     field, p = initial_field(n, ratio), float(p)
     rows, length = len(orders), field.size
 
@@ -276,10 +285,9 @@ def evolve(
         counts = np.empty((rows, t_max + 1), dtype=np.int64)
         longest = np.empty((rows, t_max + 1), dtype=np.int64)
 
-    cbar, scores = float(field.mean()), None
-    if norms:
-        scores = (np.empty((rows, t_max + 1)) if d > 0.0  # without diffusion, one read-only value
-                  else np.broadcast_to(mixing_norm(field, cbar, p), (rows, t_max + 1)))
+    cbar, shape = float(field.mean()), (rows, t_max + 1 - norms)
+    scores = (np.empty(shape) if d > 0.0  # without diffusion, one read-only value
+              else np.broadcast_to(mixing_norm(field, cbar, p), shape))
     # Every view an iteration touches, built once per slot rather than sliced anew
     # each step: the previous slot's flat sites, the gather's target, and the
     # block, its interior and its end columns.
@@ -310,15 +318,19 @@ def evolve(
         k = t % span + 1  # states in this block so far, T = t included
         if k < span and t < t_max:
             continue
-        # The k slots' rows, iteration-major, and their columns of the series.
-        states, done = lines[(slot + 1 - k) * rows : (slot + 1) * rows], slice(t + 1 - k, t + 1)
+        # The k slots' rows, iteration-major, from iteration t0, and their columns of the series.
+        t0 = t + 1 - k
+        states, done = lines[(slot + 1 - k) * rows : (slot + 1) * rows], slice(t0, t + 1)
         if observe is not None:
             observe(states)
         if runs:
             counts.T[done].flat, longest.T[done].flat = _runs(
                 states, starts_mask[: states.size + 1], bounds[: len(states) + 1])
-        if norms and d > 0.0:
-            scores.T[done].flat = _norms(states, scratch[: len(states)], cbar, p)
+        scored = max(t0, norms)  # the block's first iteration whose norm is scored
+        if d > 0.0 and scored <= t:
+            part = states[(scored - t0) * rows :]
+            scores.T[scored - norms : t + 1 - norms].flat = _norms(part, scratch[: len(part)],
+                                                                    cbar, p)
     return MetricSeries(counts, None if longest is None else 100.0 * longest / length,
                         scores, p, cbar)
 

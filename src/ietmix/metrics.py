@@ -10,6 +10,7 @@ with counting true piece boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ def average_color(field) -> float:
 
 
 def check_norm_order(p) -> None:
-    """Refuse a norm order that is not a finite p >= 1."""
+    """Refuse a norm order that is not a finite real p >= 1."""
+    if not isinstance(p, numbers.Real):
+        raise ValueError(f"norm order p must be a real number, got {p!r}")
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm order must be a finite p >= 1, got {p}")
 
@@ -57,14 +60,17 @@ def mixing_norm(field, cbar: float | None = None, p: float = 2.0) -> float:
 
     Evaluates (sum_i |c_i - cbar|^p / L)^(1/p). For a time series pass
     the mean of the initial field and keep it frozen across iterations;
-    when cbar is omitted the field's own mean is used. The deviations
-    are summed in sorted order, which makes the result bitwise invariant
-    under any permutation of the field.
+    when cbar is omitted the field's own mean is used, and a given cbar
+    must be a finite real number. The deviations are summed in sorted
+    order, which makes the result bitwise invariant under any permutation
+    of the field.
     """
     c = _as_field(field)
     check_norm_order(p)
     if cbar is None:
         cbar = average_color(c)
+    elif not isinstance(cbar, numbers.Real) or not math.isfinite(cbar):
+        raise ValueError(f"reference color cbar must be a finite real number, got {cbar!r}")
     dev = np.abs(c - cbar)
     powed = dev * dev if p == 2 else dev**p
     powed.sort()
@@ -87,10 +93,10 @@ class MetricSeries:
     (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely on
     exact-equality runs of values, so they are faithful striation diagnostics
     only for diffusion-free (D = 0) dynamics. A run metric that was not
-    computed is None, and so is mean_subseg_len without cut_count; only a
-    run scan made apart from its norms (lattice.evolve with norms=False)
-    leaves mixing_norm None. cbar is the reference color frozen from T = 0
-    and reused at every iteration.
+    computed is None, and so is mean_subseg_len without cut_count; the
+    norm is always there, though lattice.evolve with norms > 0 holds only
+    the iterations from norms on. cbar is the reference color frozen from
+    T = 0 and reused at every iteration.
     """
 
     cut_count: np.ndarray | None

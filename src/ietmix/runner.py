@@ -8,6 +8,8 @@ norm decay and the e-folding scale all derive from its metric series.
 
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import pickle
 import warnings
@@ -243,8 +245,10 @@ def collapse(
     without a converged fit are dropped with a warning. The per-point
     standard deviation is taken across every individual shuffle-order
     curve, rescaled the same way; it describes the spread and plays no
-    role in the fit.
+    role in the fit. grid_max must be finite and positive.
     """
+    if not isinstance(grid_max, numbers.Real) or not 0.0 < grid_max < math.inf:
+        raise ValueError(f"grid_max must be finite and positive, got {grid_max!r}")
     usable = []
     for ens in ensembles:
         if ens.t_pe is None:

@@ -11,9 +11,12 @@ over and erases what cutting has fragmented.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .permutations import whole_number
 
 
 def batchelor_length(t_hat: float | np.ndarray, pe: float) -> float | np.ndarray:
@@ -23,8 +26,8 @@ def batchelor_length(t_hat: float | np.ndarray, pe: float) -> float | np.ndarray
     """
     if np.any(np.asarray(t_hat) < 0):
         raise ValueError("normalized time must be nonnegative")
-    if not 0.0 < pe < math.inf:
-        raise ValueError(f"Peclet number must be finite and positive, got {pe}")
+    if not isinstance(pe, numbers.Real) or not 0.0 < pe < math.inf:
+        raise ValueError(f"Peclet number pe must be finite and positive, got {pe!r}")
     return np.pi * np.sqrt(t_hat / (2.0 * pe))
 
 
@@ -60,8 +63,10 @@ def solve_stopping_time(
     answer is the first integer satisfying the inequality; the
     interpolated crossing is reported alongside.
     """
-    if not t_max >= 1:
-        raise ValueError(f"t_max must be at least 1, got {t_max}")
+    steps = whole_number(t_max)
+    if steps is None or steps < 1:
+        raise ValueError(f"t_max must be an integer of at least 1, got {t_max!r}")
+    t_max = steps
     cuts = np.asarray(avg_cuts, dtype=np.float64)
     if cuts.ndim != 1 or cuts.size != t_max + 1:
         raise ValueError(

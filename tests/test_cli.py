@@ -11,11 +11,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ietmix
 from ietmix import cli, permutations
 from ietmix.cli import build_parser, main
+from ietmix.diffusion import diffusion_step
+from ietmix.io import SpaceTimeWriter, export_series
+from ietmix.lattice import Ratio, cut_positions, initial_field, shuffle_step
+from ietmix.metrics import compute_series
 
 
 def run_cli(*argv):
@@ -52,6 +57,28 @@ def test_list_permutations_rejected(capsys):
     assert "4231 rejected: fixed-consecutive-block" in out
 
 
+# The output's sha256, taken when each line went through its own f-string.
+# n = 2 has no allowed order, so it prints nothing, and with --rejected the
+# list of rejected orders starts with a blank line.
+LISTED_DIGESTS = {
+    ("2",): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("2", "--rejected"): "a94756975acb16bfd17886d05dfe2f848c4f54c0a668f8c0685f718c8e9ca217",
+    ("3",): "ff6f81930943c96a37d7741cd547ad90295a9bd63b6194b2a834a1d32bc8f85d",
+    ("3", "--rejected"): "16397653902e3233dcb950734992573ded688f26a73493e2b30f0b5fd0285cb8",
+    ("5",): "6b3a783c7eb49a64e54f6fef97288ffe589f5e5adc55e4398d85f6b3ec9d80c4",
+    ("6", "--rejected"): "e6798769dbce8c37aeaa238b24025f5710e5b5715a4ca1ce8515d1aa1ee9d2df",
+}
+
+
+@pytest.mark.parametrize("argv", LISTED_DIGESTS, ids=" ".join)
+def test_list_permutations_keeps_its_bytes(capsys, argv):
+    assert run_cli("list-permutations", "--n", *argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTED_DIGESTS[argv]
+    if argv == ("2", "--rejected"):
+        assert out == "\n12 rejected: reducible, rotation, fixed-endpoint\n21 rejected: rotation\n"
+
+
 def test_simulate_writes_series_raster_metadata(tmp_path, capsys, reaped):
     code = run_cli(
         "simulate", "--n", "4", "--ratio", "3/2", "--perm", "3,1,4,2",
@@ -78,8 +105,9 @@ def test_simulate_format_none_skips_raster(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["metadata.json", "series.csv"]
 
 
-# simulate forks one child, which scans the runs and writes the raster while
-# this process scores the norms, when it may use two CPUs. Every way of
+# simulate forks one child, which scans the runs, writes the raster and scores
+# the last norms while this process scores the others, when it may use two
+# CPUs. Every way of
 # running it writes the bytes of the single-process run, the one-CPU run,
 # which evolves once with both scans.
 SIMULATE = ["simulate", "--n", "4", "--ratio", "9/5", "--perm", "3,1,4,2", "--d", "0.3",
@@ -129,6 +157,56 @@ def test_simulate_writes_the_single_process_bytes(monkeypatch, reaped, tmp_path,
     assert serial[0] == 0 and sorted(serial[2]) == ["metadata.json", "series.csv",
                                                     f"spacetime.{fmt}"]
     assert len(attempts) == (how in ("two-cpus", *_FORK_ERRORS))
+
+
+def _reference_files(t_max: int, d: float, fmt: str, out: Path) -> dict:
+    """simulate's data files for SIMULATE's protocol, from each field composed of
+    shuffle_step and diffusion_step, scored by compute_series."""
+    ratio, perm = Ratio(9, 5), (3, 1, 4, 2)
+    fields = [initial_field(4, ratio)]
+    for _ in range(t_max):
+        field = shuffle_step(fields[-1], cut_positions(4, ratio), perm)
+        fields.append(diffusion_step(field, d) if d > 0.0 else field)
+    fields = np.array(fields)
+    out.mkdir()
+    export_series(compute_series(fields), out / "series.csv")
+    if fmt != "none":
+        with SpaceTimeWriter(out / f"spacetime.{fmt}", fields.shape, fmt) as raster:
+            raster(fields)
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+# On two CPUs the child scores the norms of the last (T+1)//8 iterations and
+# this process those before: none in the child below T = 7, one at T = 9,
+# two at T = 17 and five at T = 40, where both processes' last blocks of
+# eleven states are part-full. Every way of running must write the files of
+# the reference path, and the one-CPU run's bytes, stdout included.
+@pytest.mark.parametrize("fmt", ["pgm", "csv", "none"])
+@pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("t_max", [0, 1, 4, 5, 9, 17, 40])
+def test_simulate_joins_the_norms_of_both_processes(monkeypatch, reaped, tmp_path, capsys,
+                                                    t_max, d, fmt):
+    argv = [*SIMULATE[:-4], "--d", str(d), "--tmax", str(t_max), "--format", fmt]
+    want = _reference_files(t_max, d, fmt, tmp_path / "want")
+    attempts, fork = [], os.fork
+
+    def counted():
+        attempts.append(len(runs))
+        if len(runs) == 2:  # the third run's fork fails as under a pids limit
+            raise _FORK_ERRORS["eagain"]
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    runs = []
+    for how, cpus in (("one-cpu", {0}), ("two-cpus", {0, 1}), ("eagain", {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        runs.append(_simulate_run(argv, tmp_path / how, monkeypatch, capsys))
+    assert attempts == [1, 2]
+    serial = runs[0]
+    assert serial[0] == 0 and serial[1].err == ""
+    assert {name: serial[2][name] for name in want} == want
+    assert sorted(serial[2]) == sorted([*want, "metadata.json"])
+    assert runs[1] == serial and runs[2] == serial
 
 
 def _evolve_by_process(monkeypatch, here, child):

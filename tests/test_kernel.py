@@ -249,6 +249,9 @@ def test_evolve_validates_its_inputs():
     for orders in MALFORMED_ORDERS:
         with pytest.raises(ValueError):
             evolve(4, Ratio(3, 2), 0.0, 5, orders)
+    for first in (-1, 7, 2.0, "3", True, False):  # a bool is no iteration
+        with pytest.raises(ValueError, match="norms"):
+            evolve(4, Ratio(3, 2), 0.5, 5, [(3, 1, 4, 2)], norms=first)
 
 
 # L = 3 and 19 at n = 2, r = 2/1 and n = 3, r = 3/2: the stencil's two
@@ -304,3 +307,48 @@ def test_blocks_of_any_span_match_the_reference_path(monkeypatch, span, orders, 
             assert np.array_equal(getattr(got, name)[k], getattr(want, name)), (name, k)
     if not runs:
         assert got.cut_count is None and got.percent_unmixed is None
+
+
+# The run scan returns L - 1 cuts and runs of one site at once for a block
+# whose every row is all cut. Each lattice below holds blocks of one kind of
+# row and blocks of several: at L = 3 (n = 2, r = 2/1, with the identity beside
+# the one allowed order) the states become uniform, with no cut at all; at
+# L = 369 they become all cut. 80 states leave the last block of 3 and of 7
+# part-full.
+RUN_KINDS = {"L3": (2, Ratio(2, 1), [(2, 1), (1, 2)], {"no cut", "mixed"}),
+             "L369": (4, Ratio(5, 4), [(2, 4, 1, 3), (3, 1, 4, 2), (4, 3, 2, 1)],
+                      {"all cut", "mixed"})}
+
+
+@pytest.mark.parametrize("d", [0.3, 0.5])
+@pytest.mark.parametrize("lattice_id", RUN_KINDS)
+@pytest.mark.parametrize("span", [1, 3, 7])
+def test_run_scan_of_cut_uncut_and_mixed_blocks_matches_the_reference_path(
+        monkeypatch, span, lattice_id, d):
+    n, ratio, orders, kinds = RUN_KINDS[lattice_id]
+    t_max, length = 79, lattice.total_length(n, ratio)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * span * len(orders) * length)
+    got = evolve(n, ratio, d, t_max, orders)
+    for k, q in enumerate(orders):
+        want = compute_series(reference_fields(
+            Protocol(n=n, ratio=ratio, permutation=q, d=d, t_max=t_max)))
+        for name in METRICS:
+            assert np.array_equal(getattr(got, name)[k], getattr(want, name)), (name, k)
+    blocks = [got.cut_count[:, t:t + span] for t in range(0, t_max + 1, span)]
+    seen = {"all cut" if (b == length - 1).all() else "no cut" if (b == 0).all() else "mixed"
+            for b in blocks}
+    assert kinds <= seen
+
+
+# norms is the first iteration whose norm is scored. The spans put it at the
+# start of a block, inside one and past the last.
+@pytest.mark.parametrize("d", [0.0, 0.5])
+@pytest.mark.parametrize("span", [1, 3, 7])
+def test_norms_from_any_iteration_are_the_full_runs_columns(monkeypatch, span, d):
+    orders, t_max = [(2, 4, 1, 3), (3, 1, 4, 2)], 40
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES", 8 * span * len(orders) * 369)
+    full = evolve(4, Ratio(5, 4), d, t_max, orders).mixing_norm
+    for first in (0, 1, 5, 6, 7, 35, 40, 41):
+        tail = evolve(4, Ratio(5, 4), d, t_max, orders, runs=False, norms=first).mixing_norm
+        assert tail.shape == (len(orders), t_max + 1 - first)
+        assert np.array_equal(tail, full[:, first:]), first

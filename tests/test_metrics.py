@@ -56,6 +56,11 @@ def test_mixing_norm_orders():
     for bad in (0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             mixing_norm(c, p=bad)
+    with pytest.raises(ValueError, match="norm order p must be a real number, got '2'"):
+        mixing_norm(c, 0.5, p="2")
+    for bad in (float("nan"), float("inf"), "0.5"):
+        with pytest.raises(ValueError, match="cbar must be a finite real number"):
+            mixing_norm(c, cbar=bad)
 
 
 def test_initial_norm_frozen():

@@ -87,6 +87,9 @@ def test_collapse_skips_ensembles_without_fits():
     with pytest.raises(ValueError):
         with pytest.warns(UserWarning):
             collapse([bare])
+    for grid_max in (-1, 0.0, float("nan"), float("inf"), "5"):
+        with pytest.raises(ValueError, match="grid_max must be finite and positive"):
+            collapse([good], grid_max=grid_max)
 
 
 def test_steepening_report_rows():

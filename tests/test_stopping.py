@@ -105,6 +105,11 @@ def test_input_validation():
     for t_max in (0, -1):
         with pytest.raises(ValueError, match="t_max"):
             solve_stopping_time(np.zeros(t_max + 1), 10.0, t_max)
+    for t_max in (2.5, "10"):
+        with pytest.raises(ValueError, match="t_max must be an integer of at least 1"):
+            solve_stopping_time(np.zeros(11), 1e3, t_max)
+    with pytest.raises(ValueError, match="Peclet number pe must be finite and positive"):
+        solve_stopping_time(np.zeros(11), "1e3", 10)
     for bad in (-1.0, float("inf"), float("nan")):
         cuts = np.zeros(6)
         cuts[3] = bad
