@@ -58,7 +58,7 @@ from .io import (
 from .lattice import Protocol, Ratio, evolve, total_length
 from .permutations import RULES, screen
 from .runner import (
-    collapse, run_ensemble, run_ensembles, run_jobs, steepening_report, table_one, two_cores,
+    collapse, in_two_processes, run_ensemble, run_ensembles, steepening_report, table_one,
 )
 
 
@@ -284,13 +284,14 @@ def _cmd_simulate(args) -> int:
                   SpaceTimeWriter(out / f"spacetime.{fmt}", (t_max + 1, length), fmt)) as raster:
                 return evolve(args.n, ratio, d, t_max, [perm], p=args.p, observe=raster, **scans)
 
-        if two_cores(2):
-            # The child scans the runs, writes the raster and scores the norms from split
-            # on; this process scores those before. A D = 0 norm is one value, held here.
-            split = t_max + 1 - ((t_max + 1) // _CHILD_NORMS if d > 0.0 else 0)
-            head, series = run_jobs([
-                lambda: evolve(args.n, ratio, d, split - 1, [perm], p=args.p, runs=False),
-                lambda: scan(norms=split)], ([0], [1]))
+        # With diffusion a forked child scans the runs, writes the raster and scores the norms
+        # from split on while this process scores those before; a D = 0 norm is one value.
+        split = t_max + 1 - (t_max + 1) // _CHILD_NORMS
+        pair = d > 0.0 and in_two_processes(
+            lambda: evolve(args.n, ratio, d, split - 1, [perm], p=args.p, runs=False),
+            lambda: scan(norms=split))
+        if pair:
+            head, series = pair
             series = dataclasses.replace(series, mixing_norm=np.concatenate(
                 (head.mixing_norm, series.mixing_norm), axis=1))
         else:

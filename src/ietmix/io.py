@@ -118,6 +118,8 @@ def _write_columns(path, header, columns) -> Path:
     most of its values, so the rows reach write_csv _CHUNK at a time, each
     distinct value of a chunk formatted once.
     """
+    if len({len(v) for v in columns if v is not None}) > 1:
+        raise ValueError(f"{Path(path).name}: columns of unequal length")
     return write_csv(path, header, (
         zip(*(itertools.repeat("") if v is None else _cells(v, slice(start, start + _CHUNK))
               for v in columns)) for start in range(0, len(columns[0]), _CHUNK)))

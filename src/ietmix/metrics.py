@@ -89,19 +89,20 @@ class MetricSeries:
 
     The metric arrays have shape (T+1,) for one run and (P, T+1) for an
     ensemble of P shuffle orders, row k holding order k; a D = 0 ensemble's
-    norm is one read-only broadcast of its T = 0 value. t is always the
-    (T+1,) iteration axis. percent_unmixed and mean_subseg_len rely on
+    norm is one read-only broadcast of its T = 0 value. t is the (T+1,)
+    iteration axis. percent_unmixed and mean_subseg_len rely on
     exact-equality runs of values, so they are faithful striation diagnostics
     only for diffusion-free (D = 0) dynamics. A run metric that was not
-    computed is None, and so is mean_subseg_len without cut_count; the
-    norm is always there, though lattice.evolve with norms > 0 holds only
-    the iterations from norms on. cbar is the reference color frozen from
+    computed is None, and so is mean_subseg_len without cut_count. The
+    norm is never None, and len and t follow it: lattice.evolve with
+    norms > 0 holds only the norms of iterations norms..T, a part that the
+    caller joins to the rest. cbar is the reference color frozen from
     T = 0 and reused at every iteration.
     """
 
     cut_count: np.ndarray | None
     percent_unmixed: np.ndarray | None
-    mixing_norm: np.ndarray | None
+    mixing_norm: np.ndarray
     p: float
     cbar: float
 

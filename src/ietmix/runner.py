@@ -106,14 +106,14 @@ def run_ensemble(
     return EnsembleResult(n, ratio, float(d), int(t_max), float(p), orders, series)
 
 
-def _run_group(jobs: list, indices) -> dict:
-    """{k: (True, jobs[k]()) or (False, exception)} for the jobs listed, run in
-    job order up to and including the first that fails."""
+def _run_group(jobs: list[dict], indices) -> dict:
+    """{k: (True, run_ensemble(**jobs[k])) or (False, exception)} for the jobs
+    listed, run in job order up to and including the first that fails."""
     outcomes = {}
     for k in sorted(indices):
         try:
-            outcomes[k] = True, jobs[k]()
-        except Exception as exc:  # carried to run_jobs, which raises it in job order
+            outcomes[k] = True, run_ensemble(**jobs[k])
+        except Exception as exc:  # carried to run_ensembles, which raises it in job order
             outcomes[k] = False, exc
             break
     return outcomes
@@ -135,28 +135,37 @@ def _split(jobs: list[dict]) -> tuple[list[int], list[int]]:
     return groups
 
 
-def _with_child(jobs: list, mine: list[int], theirs: list[int]) -> dict:
-    """Run `theirs` in one forked child while this process runs `mine`.
+def in_two_processes(here, there) -> tuple | None:
+    """(here(), there()) with there() run in one forked child; or None, with
+    neither called, when this process may not use two CPUs: no os.fork, one
+    CPU in os.sched_getaffinity(0) (or no such call), or a fork that fails.
 
-    The child runs no fit (so no BLAS call in a fork of a process with
-    BLAS threads), then pickles its outcomes down a pipe and leaves with
-    os._exit, so it flushes no inherited buffer and runs no exit handler.
-    The child is always reaped here, and killed first when this process
-    fails before reading its reply; a child that ends without its
-    outcomes, killed by the OOM killer for instance, raises
-    ChildProcessError. When the fork itself fails, every job runs here.
+    The child must run no fit (no BLAS call in a fork of a process with BLAS
+    threads). It pickles there()'s result, or the exception it raised, down a
+    pipe and leaves with os._exit, so it flushes no inherited buffer and runs
+    no exit handler; once here() has returned, that exception is raised here
+    with its type and text. The child is always reaped, and killed first when
+    here() fails; a child that ends without its reply, killed by the OOM
+    killer for instance, raises ChildProcessError.
     """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1):
+        return None
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
         try:
             pid = os.fork()
-        except OSError:  # no process to spare (a pids limit, ENOMEM): run every job here
-            return _run_group(jobs, range(len(jobs)))
+        except OSError:  # no process to spare
+            return None
         if pid == 0:
             code = 1
             try:
                 reader.close()
-                writer.write(pickle.dumps(_run_group(jobs, theirs)))
+                try:
+                    outcome = True, there()
+                except Exception as exc:  # raised in the parent, which reads it
+                    outcome = False, exc
+                writer.write(pickle.dumps(outcome))
                 writer.close()
                 code = 0
             finally:
@@ -164,7 +173,7 @@ def _with_child(jobs: list, mine: list[int], theirs: list[int]) -> dict:
         writer.close()
         reply = None
         try:
-            outcomes = _run_group(jobs, mine)
+            mine = here()
             reply = reader.read()
         finally:
             if reply is None:
@@ -175,31 +184,29 @@ def _with_child(jobs: list, mine: list[int], theirs: list[int]) -> dict:
     if status != 0:
         ending = f"killed by signal {-status}" if status < 0 else f"exit status {status}"
         raise ChildProcessError(f"the forked child ended without its results ({ending})")
-    outcomes.update(pickle.loads(reply))
-    return outcomes
+    ok, theirs = pickle.loads(reply)
+    if not ok:
+        raise theirs
+    return mine, theirs
 
 
-def two_cores(jobs: int) -> bool:
-    """Whether `jobs` jobs may run in two processes: more than one job, os.fork,
-    and more than one CPU in os.sched_getaffinity(0) (a platform without it
-    counts as one)."""
-    return (jobs > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1)
+def run_ensembles(jobs) -> list[EnsembleResult]:
+    """[run_ensemble(**job) for job in jobs], bit for bit and in job order, on two cores.
 
-
-def run_jobs(jobs, groups) -> list:
-    """[job() for job in jobs] for zero-argument jobs, in job order.
-
-    With groups, a pair of lists of job indices, one forked child runs
-    the jobs of the second while this process runs the first (see
-    _with_child; a fork that fails runs every job here); with None,
-    every job runs here. Each group runs in job order and stops at its first
-    failure, so the loop below meets a failure before any job left
-    unrun, and raises the serial loop's failure: the first in job order,
-    its type and text.
+    Ensembles share nothing, so _split deals more than one job into two
+    groups of about equal cost, and in_two_processes runs the second in a
+    forked child while this process runs the first; without a child every
+    job runs here. Each group runs in job order and stops at its first
+    failure, so the loop below meets a failure before any job left unrun,
+    and raises the serial loop's failure: the first in job order, its type
+    and text. Each job is run as run_ensemble would run it alone, so each
+    result has the same bytes.
     """
     jobs = list(jobs)
-    outcomes = _with_child(jobs, *groups) if groups else _run_group(jobs, range(len(jobs)))
+    mine, theirs = _split(jobs)
+    pair = len(jobs) > 1 and in_two_processes(lambda: _run_group(jobs, mine),
+                                              lambda: _run_group(jobs, theirs))
+    outcomes = {**pair[0], **pair[1]} if pair else _run_group(jobs, range(len(jobs)))
     results = []
     for k in range(len(jobs)):
         ok, value = outcomes[k]
@@ -207,20 +214,6 @@ def run_jobs(jobs, groups) -> list:
             raise value
         results.append(value)
     return results
-
-
-def run_ensembles(jobs) -> list[EnsembleResult]:
-    """[run_ensemble(**job) for job in jobs], bit for bit and in job order, on two cores.
-
-    Ensembles share nothing, so when two_cores allows, _split deals the
-    jobs into two groups of about equal cost, and run_jobs runs the
-    second in a forked child while this process runs the first. Each job
-    is run as run_ensemble would run it alone, so each result has the
-    same bytes, and the first failure in job order is raised.
-    """
-    jobs = list(jobs)
-    return run_jobs([lambda job=job: run_ensemble(**job) for job in jobs],
-                    _split(jobs) if two_cores(len(jobs)) else None)
 
 
 @dataclass(frozen=True)

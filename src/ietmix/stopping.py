@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import metrics
 from .permutations import whole_number
 
 
@@ -78,7 +79,7 @@ def solve_stopping_time(
     for name, values in (("avg_cuts", cuts), ("mean_lengths", given)):
         if values is not None and not (np.isfinite(values).all() and (values >= 0).all()):
             raise ValueError(f"{name} must be finite and nonnegative")
-    lengths = 1.0 / (cuts + 1.0) if given is None else given
+    lengths = metrics.mean_lengths(cuts) if given is None else given
 
     g = batchelor_length(np.arange(t_max + 1) / t_max, pe) - lengths
     hits = np.flatnonzero(g[1:] >= 0.0)

@@ -105,11 +105,11 @@ def test_simulate_format_none_skips_raster(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["metadata.json", "series.csv"]
 
 
-# simulate forks one child, which scans the runs, writes the raster and scores
-# the last norms while this process scores the others, when it may use two
-# CPUs. Every way of
-# running it writes the bytes of the single-process run, the one-CPU run,
-# which evolves once with both scans.
+# With diffusion, simulate forks one child, which scans the runs, writes the
+# raster and scores the last norms while this process scores the others, when
+# it may use two CPUs. Every way of running it writes the bytes of the
+# single-process run, the one-CPU run, which evolves once with both scans; a
+# fork that fails also gives that run, so this process evolves once.
 SIMULATE = ["simulate", "--n", "4", "--ratio", "9/5", "--perm", "3,1,4,2", "--d", "0.3",
             "--tmax", "120"]
 
@@ -140,7 +140,11 @@ def test_simulate_writes_the_single_process_bytes(monkeypatch, reaped, tmp_path,
     argv = [*SIMULATE, "--format", fmt]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = _simulate_run(argv, tmp_path / "serial", monkeypatch, capsys)
-    attempts, fork = [], os.fork
+    attempts, fork, evolves, evolve = [], os.fork, [], cli.evolve
+
+    def counted_evolve(*args, **kwargs):  # a forked child counts in its own copy
+        evolves.append(args)
+        return evolve(*args, **kwargs)
 
     def counted():  # a fork that fails does so as under a pids limit, or without memory
         attempts.append(how)
@@ -153,10 +157,12 @@ def test_simulate_writes_the_single_process_bytes(monkeypatch, reaped, tmp_path,
     else:
         monkeypatch.setattr(os, "fork", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if how == "one-cpu" else {0, 1})
+    monkeypatch.setattr(cli, "evolve", counted_evolve)
     assert _simulate_run(argv, tmp_path / how, monkeypatch, capsys) == serial
     assert serial[0] == 0 and sorted(serial[2]) == ["metadata.json", "series.csv",
                                                     f"spacetime.{fmt}"]
     assert len(attempts) == (how in ("two-cpus", *_FORK_ERRORS))
+    assert len(evolves) == 1
 
 
 def _reference_files(t_max: int, d: float, fmt: str, out: Path) -> dict:
@@ -176,11 +182,12 @@ def _reference_files(t_max: int, d: float, fmt: str, out: Path) -> dict:
     return {f.name: f.read_bytes() for f in out.iterdir()}
 
 
-# On two CPUs the child scores the norms of the last (T+1)//8 iterations and
-# this process those before: none in the child below T = 7, one at T = 9,
-# two at T = 17 and five at T = 40, where both processes' last blocks of
-# eleven states are part-full. Every way of running must write the files of
-# the reference path, and the one-CPU run's bytes, stdout included.
+# On two CPUs and with diffusion the child scores the norms of the last
+# (T+1)//8 iterations and this process those before: none in the child below
+# T = 7, one at T = 9, two at T = 17 and five at T = 40, where both processes'
+# last blocks of eleven states are part-full. At D = 0 no fork is tried. Every
+# way of running must write the files of the reference path, and the one-CPU
+# run's bytes, stdout included.
 @pytest.mark.parametrize("fmt", ["pgm", "csv", "none"])
 @pytest.mark.parametrize("d", [0.0, 0.3, 0.5])
 @pytest.mark.parametrize("t_max", [0, 1, 4, 5, 9, 17, 40])
@@ -201,7 +208,7 @@ def test_simulate_joins_the_norms_of_both_processes(monkeypatch, reaped, tmp_pat
     for how, cpus in (("one-cpu", {0}), ("two-cpus", {0, 1}), ("eagain", {0, 1})):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         runs.append(_simulate_run(argv, tmp_path / how, monkeypatch, capsys))
-    assert attempts == [1, 2]
+    assert attempts == ([1, 2] if d > 0.0 else [])
     serial = runs[0]
     assert serial[0] == 0 and serial[1].err == ""
     assert {name: serial[2][name] for name in want} == want

@@ -69,6 +69,17 @@ def test_series_csv_leaves_a_metric_not_computed_blank(tmp_path):
     assert [float(r[3]) for r in rows] == series.mixing_norm.tolist()
 
 
+def test_series_csv_refuses_columns_of_unequal_length(tmp_path):
+    # One norm more than the runs, as a join of two norm ranges could leave.
+    series = compute_series(iterate(Protocol(n=4, ratio=Ratio(3, 2), permutation=(3, 1, 4, 2),
+                                             d=0.5, t_max=6)))
+    longer = MetricSeries(series.cut_count, series.percent_unmixed,
+                          np.append(series.mixing_norm, 0.0), series.p, series.cbar)
+    with pytest.raises(ValueError, match="columns of unequal length"):
+        export_series(longer, tmp_path / "series.csv")
+    assert not (tmp_path / "series.csv").exists()
+
+
 def csv_writer_series(series, path):
     """series.csv as one csv.writer writes it, the reference of export_series."""
     columns = (series.cut_count, series.percent_unmixed, series.mixing_norm,

@@ -277,17 +277,57 @@ def test_run_ensembles_without_fork_runs_in_process(monkeypatch, reaped):
         pickle.dumps(run_ensemble(**job)) for job in SMALL_JOBS]
 
 
-@pytest.mark.parametrize("error", [BlockingIOError(11, "Resource temporarily unavailable"),
-                                   OSError(12, "Cannot allocate memory")], ids=["eagain", "enomem"])
+# A fork that fails does so as under a pids limit, or with no memory to copy the process.
+FORK_ERRORS = {"eagain": BlockingIOError(11, "Resource temporarily unavailable"),
+               "enomem": OSError(12, "Cannot allocate memory")}
+
+
+@pytest.mark.parametrize("error", FORK_ERRORS)
 def test_a_fork_that_fails_runs_every_job_in_process(monkeypatch, reaped, error):
-    def failing_fork():  # as under a pids limit, or with no memory to copy the process
-        raise error
+    def failing_fork():
+        raise FORK_ERRORS[error]
 
     monkeypatch.setattr(os, "fork", failing_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     results = runner.run_ensembles(SMALL_JOBS)
     assert [pickle.dumps(ens) for ens in results] == [
         pickle.dumps(run_ensemble(**job)) for job in SMALL_JOBS]
+
+
+def _never_called():
+    raise AssertionError("called, although there is no child")
+
+
+@pytest.mark.parametrize("how", ["one-cpu", "no-fork", *FORK_ERRORS])
+def test_in_two_processes_without_a_child_calls_neither(monkeypatch, reaped, how):
+    attempts = []
+
+    def fork():
+        attempts.append(how)
+        raise FORK_ERRORS.get(how, AssertionError("forked on one CPU"))
+
+    if how == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if how == "one-cpu" else {0, 1})
+    assert runner.in_two_processes(_never_called, _never_called) is None
+    assert attempts == ([how] if how in FORK_ERRORS else [])
+
+
+def test_in_two_processes_runs_there_in_a_child_and_raises_its_failure(monkeypatch, reaped,
+                                                                      forks):
+    def failing():
+        raise MemoryError("no room for r=9/5")
+
+    parent = os.getpid()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    here, there = runner.in_two_processes(os.getpid, os.getpid)
+    assert here == parent and there not in (parent, None)
+    with pytest.raises(MemoryError) as raised:
+        runner.in_two_processes(lambda: None, failing)
+    assert type(raised.value) is MemoryError and str(raised.value) == "no room for r=9/5"
+    assert forks == [parent, parent]
 
 
 @CPUS
