@@ -27,6 +27,8 @@ from .permutations import Perm, as_orders, as_permutation, as_piece_count, whole
 _MAX_LENGTH = 2**63 - 1
 #: Bytes of states that evolve scores, and hands its observer, per call.
 _BLOCK_BYTES = 128 * 1024
+#: Bytes per piece end that cut_counts' itinerary table may take, _BLOCK_BYTES at least.
+_END_BYTES = 64
 
 
 class CapacityError(OverflowError):
@@ -232,8 +234,9 @@ def evolve(
     The P orders evolve as one C-contiguous (P, L) block, row k holding
     the field of permutations[k]. T = 0 is the initial field; iteration
     T shuffles and then, when D > 0, applies one diffusion sweep. The
-    shuffle gathers the block into own through sigma (from _slots); the stencil
-    of diffusion_step writes from shifted slices of own back into the
+    shuffle gathers the block through sigma (from _slots) into padded, each
+    row between copies of its last and first site; the stencil of
+    diffusion_step writes from shifted slices of padded back into the
     block (work is its scratch), so each row is bit-identical to
     composing shuffle_step and diffusion_step. The views these calls
     touch are built once per ring slot before the loop, not sliced anew
@@ -270,13 +273,15 @@ def evolve(
 
     _, start, shift = _slots(n, ratio, orders)
     sigma = np.arange(rows * length) + np.repeat(shift, np.diff(start, append=length).ravel())
+    if d > 0.0:  # the gather fills each row between its periodic neighbors c_{L-1} and c_0
+        sigma = np.pad(sigma.reshape(rows, length), ((0, 0), (1, 1)), mode="wrap").ravel()
     span = max(1, min(t_max + 1, _BLOCK_BYTES // (8 * rows * length)))
     # Without diffusion the gather writes the next slot itself, so that ring needs two.
     ring = np.empty((span if d > 0.0 else max(span, 2), rows, length))
     ring[0] = field
     sites, lines = ring.reshape(len(ring), -1), ring.reshape(-1, length)
     scratch = np.empty((span * rows, length))  # the norms' buffer; its first P rows are work
-    own, work = np.empty((rows, length)), scratch[:rows]
+    padded, work = np.empty((rows, length + 2)), scratch[:rows]
     counts = longest = None
     if runs:
         bounds = np.arange(span * rows + 1, dtype=np.intp) * length
@@ -289,30 +294,22 @@ def evolve(
     scores = (np.empty(shape) if d > 0.0  # without diffusion, one read-only value
               else np.broadcast_to(mixing_norm(field, cbar, p), shape))
     # Every view an iteration touches, built once per slot rather than sliced anew
-    # each step: the previous slot's flat sites, the gather's target, and the
-    # block, its interior and its end columns.
-    own_sites = own.reshape(-1)
-    views = [(sites[s - 1], own_sites if d > 0.0 else sites[s], ring[s], ring[s][:, 1:-1],
-              ring[s][:, :-1], ring[s][:, 0], ring[s][:, -1]) for s in range(len(ring))]
-    # c_{i+1} and c_{i-1} are shifted slices of own, closed periodically.
-    right, left, after, before = own[:, 2:], own[:, :-2], own[:, 1:], own[:, :-1]
-    first, second, last, penult = own[:, 0], own[:, 1], own[:, -1], own[:, -2]
-    work_tail, work_head = work[:, 1:], work[:, 0]
+    # each step: the previous slot's flat sites, the gather's target, and the block.
+    views = [(sites[s - 1], padded.reshape(-1) if d > 0.0 else sites[s], ring[s])
+             for s in range(len(ring))]
+    # c_i, c_{i+1} and c_{i-1} are slices of padded, closed periodically by the gather.
+    own, right, left = padded[:, 1:-1], padded[:, 2:], padded[:, :-2]
     for t in range(t_max + 1):
         slot = t % len(ring)
         if t > 0:
-            prev, target, block, inner, lead, head, tail = views[slot]
+            prev, target, block = views[slot]
             prev.take(sigma, out=target, mode="clip")  # sigma is always in range
             if d == 0.5:
-                np.add(right, left, out=inner)
-                np.add(second, last, out=head)
-                np.add(first, penult, out=tail)
+                np.add(right, left, out=block)
                 np.multiply(block, 0.5, out=block)
             elif d > 0.0:
-                np.subtract(after, before, out=lead)
-                np.subtract(first, last, out=tail)
-                np.subtract(before, after, out=work_tail)
-                np.subtract(last, first, out=work_head)
+                np.subtract(right, own, out=block)
+                np.subtract(left, own, out=work)
                 np.add(block, work, out=block)
                 np.add(own, np.multiply(block, d, out=block), out=block)
         k = t % span + 1  # states in this block so far, T = t included
@@ -335,6 +332,35 @@ def evolve(
                         scores, p, cbar)
 
 
+def _itinerary(starts: np.ndarray, shift: np.ndarray, piece: np.ndarray, end: int, k: int):
+    """The partition of the rows on which k successive shuffles act as one translation.
+
+    starts, shift and piece are _slots' table laid end to end, the rows
+    ending at site end: the one-step table. Each doubling cuts every
+    interval's image, x + shift, at the table's own starts, so each piece
+    of it runs through the same slots for twice the steps. Returns the
+    interval starts, the shift of k steps, and each interval's itinerary,
+    the piece met at steps 1..k, as one k-byte void per interval.
+    """
+    steps = piece.astype(np.int8).view("V1")
+    while steps.itemsize < k:
+        image = starts + shift
+        first = starts.searchsorted(image, side="right") - 1
+        spans = starts.searchsorted(np.append(starts[1:], end) + shift) - first
+        # j is the interval of the table that each piece of an image lies in.
+        j = np.repeat(np.cumsum(spans) - spans - first, spans)
+        np.subtract(np.arange(len(j)), j, out=j)
+        pair = np.stack((np.repeat(steps, spans), steps.take(j)), axis=1)
+        steps = pair.view(np.dtype((np.void, pair.itemsize * 2))).ravel()
+        # In place, so that the doubling holds few arrays of the new table's length at once.
+        cut = np.repeat(image, spans)
+        np.maximum(cut, starts.take(j), out=cut)
+        moved = np.repeat(shift, spans)
+        starts = np.subtract(cut, moved, out=cut)
+        shift = np.add(moved, shift.take(j), out=moved)
+    return starts, shift, steps
+
+
 def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     """Diffusion-free cut count of every order, as a (P, t_max+1) int64 array.
 
@@ -348,6 +374,12 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     sat at sigma^T(x) at T = 0, and pieces start with distinct colors, so
     each end's orbit is followed through the slots of _slots: the slot an
     end lies in names the piece it reaches, and its shift moves it there.
+    The ends move k iterations a pass, through _itinerary's table: every
+    site of one of its intervals meets the same pieces for k steps, so the
+    interval an end lies in gives its next k colors at once. k is the
+    largest power of two below t_max whose table, about P (k (N-1) + 1)
+    intervals of k + 16 bytes, fits in _END_BYTES per end or _BLOCK_BYTES,
+    whichever is more.
     """
     n, _, t_max, orders = _orders(n, ratio, 0.0, t_max, permutations)
     piece, start, shift = _slots(n, ratio, orders)
@@ -355,7 +387,8 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     offsets = np.arange(len(piece))[:, None] * bounds[-1]  # the rows lie end to end
     # Ends 0..N-1 are the first sites of the pieces, N..2N-1 their last.
     pos = (np.concatenate((bounds[:-1], bounds[1:] - 1)) + offsets).ravel()
-    labels = np.arange(pos.size) % n  # at T = 0 each end holds its own piece
+    # At T = 0 each end holds its own piece: one column of labels, as 1-byte voids.
+    labels = (np.arange(pos.size) % n).astype(np.int8).view("V1")
     # A row of seams lists order k's pieces, then the identity's, as flat label indices;
     # each neighbor pair in it meets at a seam: ends[0] indexes the last end of the left
     # piece, ends[1] the first end of the right. The order's seams make a pair, the
@@ -363,17 +396,24 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     seams = np.hstack((piece, piece * 0 + np.arange(n))) + np.arange(0, pos.size, 2 * n)[:, None]
     ends = np.stack((seams[:, :-1] + n, seams[:, 1:]))
     del seams  # the loop keeps only ends
-    weight = np.repeat([1, 0, -1], [n - 1, 1, n - 1])
-    # A right-sided search gives 1 + the slot, so piece and shift lead with a pad.
-    starts, slot_shift = (start + offsets).ravel(), np.pad(shift.ravel(), (1, 0))
-    slot_piece = np.pad(piece.ravel(), (1, 0))
+    weight = np.repeat(np.int8([1, 0, -1]), [n - 1, 1, n - 1])  # |made - lost| < N
+    budget, k = max(_BLOCK_BYTES, _END_BYTES * pos.size), 1
+    while 2 * k < t_max and len(piece) * (2 * k * (n - 1) + 1) * (2 * k + 16) <= budget:
+        k *= 2
+    starts, shift, steps = _itinerary((start + offsets).ravel(), shift.ravel(), piece.ravel(),
+                                      len(piece) * bounds[-1], k)
+    inner = starts[1:]  # a right-sided search of them gives the interval itself
     counts = np.full((len(piece), t_max + 1), n - 1, dtype=np.int64)  # C(0) = N - 1
-    for t in range(1, t_max + 1):  # column t takes made - lost, C(t) - C(t - 1)
-        np.matmul(np.not_equal(*labels.take(ends)), weight, out=counts[:, t])
-        if t < t_max:
-            slot = starts.searchsorted(pos, side="right")
-            labels = slot_piece.take(slot)
-            pos += slot_shift.take(slot)
+    t = 1
+    while t <= t_max:  # columns t.. take made - lost, C(t) - C(t - 1), one per label
+        pairs = labels.take(ends).view(np.int8).reshape(ends.shape + (-1,))
+        differ = np.not_equal(*pairs)[..., : t_max + 1 - t].view(np.int8)
+        np.matmul(weight, differ, out=counts[:, t : t + differ.shape[-1]])
+        t += differ.shape[-1]
+        if t <= t_max:
+            slot = inner.searchsorted(pos, side="right")
+            labels = steps.take(slot)
+            pos += shift.take(slot)
     return np.cumsum(counts, axis=1, out=counts)
 
 

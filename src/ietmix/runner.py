@@ -307,7 +307,12 @@ def steepening_report(
     orders = as_orders(screen(n)[0])
     counts = cut_counts(n, ratio, t_max, orders)  # no field: only the cut counts are read
     avg_cut = counts.mean(axis=0)  # EnsembleResult's averages, so the same bits
-    lengths_curve = mean_lengths(counts).mean(axis=0) if use_mean_lengths else None
+    lengths_curve = None
+    if use_mean_lengths:  # mean_lengths(counts).mean(axis=0), bit for bit, in blocks of rows
+        total, step = np.zeros(t_max + 1), 1024
+        for k in range(0, len(counts), step):  # a mean adds the rows in order, as here
+            total = np.concatenate((total[None], mean_lengths(counts[k : k + step]))).sum(axis=0)
+        lengths_curve = total / len(counts)
     rows = []
     for pe, d in zip(pe_seq, diffusivities):
         sol = solve_stopping_time(avg_cut, pe, t_max, mean_lengths=lengths_curve)

@@ -155,6 +155,64 @@ def test_cut_counts_match_the_dense_kernel_on_random_families(family):
                           evolve(n, ratio, 0.0, t_max, orders).cut_count)
 
 
+def steps_taken(monkeypatch):
+    """The k of each itinerary table that cut_counts builds, in call order."""
+    ks, build = [], lattice._itinerary
+    monkeypatch.setattr(lattice, "_itinerary", lambda *args: ks.append(args[-1]) or build(*args))
+    return ks
+
+
+def budget_for(monkeypatch, n, rows, k):
+    """A table budget that holds the table of k steps and not of 2k; None holds any."""
+    monkeypatch.setattr(lattice, "_END_BYTES", 0)
+    monkeypatch.setattr(lattice, "_BLOCK_BYTES",
+                        2**62 if k is None else rows * (k * (n - 1) + 1) * (k + 16))
+
+
+def steps_for(k, t_max):
+    """The k that cut_counts takes under budget_for(k): at most T_max - 1 steps a pass."""
+    below = 1 << (max(t_max - 1, 1).bit_length() - 1)  # the largest power of two below T_max
+    return below if k is None else min(k, below)
+
+
+# The ends move k iterations a pass, with k = 1, 2, 4 and 64 under a budget made
+# for each, and the largest power of two below T_max under any budget. T_max - 1
+# = 2, 6 and 199 are not multiples of every k. Every order of n = 2..5,
+# reducible ones and the identity included, against one dense run each.
+@pytest.mark.parametrize("ratio", [Ratio(2, 1), Ratio(9, 5)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cut_counts_of_k_steps_a_pass_match_the_dense_kernel(monkeypatch, n, ratio):
+    orders = list(itertools.permutations(range(1, n + 1)))
+    dense = evolve(n, ratio, 0.0, 200, orders).cut_count
+    ks = steps_taken(monkeypatch)
+    for k in (1, 2, 4, 64, None):
+        budget_for(monkeypatch, n, len(orders), k)
+        for t_max in (0, 1, 2, 3, 7, 200):
+            got = cut_counts(n, ratio, t_max, orders)
+            assert np.array_equal(got, dense[:, :t_max + 1]), (k, t_max)
+            assert ks.pop() == steps_for(k, t_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families(), st.sampled_from([1, 2, 4, 64, None]))
+def test_cut_counts_of_k_steps_a_pass_match_the_dense_kernel_on_random_families(family, k):
+    n, ratio, orders, t_max = family
+    with pytest.MonkeyPatch.context() as patch:
+        ks = steps_taken(patch)
+        budget_for(patch, n, len(orders), k)
+        got = cut_counts(n, ratio, t_max, orders)
+    assert ks == [steps_for(k, t_max)]
+    assert np.array_equal(got, evolve(n, ratio, 0.0, t_max, orders).cut_count)
+
+
+# The benchmark's stopping-time command (n = 4, r = 13/10, --tmax-from 369,15,
+# so T_max = 4,217) moves its ends more than one iteration a pass.
+def test_the_benchmark_size_moves_its_ends_many_iterations_a_pass(monkeypatch):
+    ks = steps_taken(monkeypatch)
+    cut_counts(4, Ratio(13, 10), 4217, enumerate_allowed(4))
+    assert ks[0] > 1
+
+
 # A short, a repeated or an out-of-range piece, a ragged list of orders, and
 # pieces that are not integers.
 MALFORMED_ORDERS = ([(2, 1, 3)], [(3, 1, 1, 2)], [(5, 1, 4, 2)], [(3, 1, 4, 2), (2, 1)],

@@ -15,7 +15,8 @@ from ietmix.cli import main
 from ietmix.diffusion import diffusivity_from_peclet, match_iterations
 from ietmix.fitting import efolding_time
 from ietmix.io import export_ensemble
-from ietmix.lattice import Ratio, total_length
+from ietmix.lattice import Ratio, cut_counts, total_length
+from ietmix.metrics import mean_lengths
 from ietmix.permutations import enumerate_allowed, screen
 from ietmix.runner import (
     EnsembleResult,
@@ -125,6 +126,31 @@ def test_steepening_validates_the_sweep():
         steepening_report(4, Ratio(3, 2), 120, [-1.0, 20.0])
     with pytest.raises(ValueError, match="norm order must be a finite p >= 1, got 0.5"):
         steepening_report(4, Ratio(3, 2), 120, [40.0], p=0.5, max_slopes=False)
+
+
+# --lm-mode length averages 1/(C+1) over the orders a block of rows at a time,
+# carrying the running sum as each block's first row. That equals one mean over
+# all rows only while NumPy adds the rows of an axis-0 reduction in order; this
+# pins it, so a NumPy that changes the order fails here.
+@pytest.mark.parametrize("rows", [1, 7, 1024, 3000])
+def test_a_mean_over_rows_is_their_sum_in_order(rows):
+    q = 1.0 / (np.random.default_rng(7).integers(0, 10**6, (3000, 201)) + 1.0)
+    assert not np.array_equal(q.sum(axis=0), q[::-1].sum(axis=0))  # the order shows
+    total = np.zeros(201)
+    for k in range(0, len(q), rows):
+        total = np.concatenate((total[None], q[k : k + rows])).sum(axis=0)
+    assert np.array_equal(total / len(q), q.mean(axis=0))
+
+
+# n = 7 has 3,198 orders: four blocks of rows, the last one short.
+def test_length_mode_averages_the_striation_lengths_of_every_order(monkeypatch):
+    seen = []
+    solve = runner.solve_stopping_time
+    monkeypatch.setattr(runner, "solve_stopping_time",
+                        lambda *args, **kw: seen.append(kw["mean_lengths"]) or solve(*args, **kw))
+    steepening_report(7, Ratio(5, 4), 200, [1e9], use_mean_lengths=True, max_slopes=False)
+    counts = cut_counts(7, Ratio(5, 4), 200, screen(7)[0])
+    assert np.array_equal(seen[0], mean_lengths(counts).mean(axis=0))
 
 
 def test_table_one_reference_row():
