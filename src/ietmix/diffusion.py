@@ -8,6 +8,7 @@ unit grid spacing and unit time step; the scheme is stable for D <= 1/2.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,6 +29,8 @@ def diffusion_step(field, d: float) -> np.ndarray:
     c = np.asarray(field, dtype=np.float64)
     if c.ndim != 1 or c.size < 3:
         raise ValueError("field must be one-dimensional with at least 3 sites")
+    if not isinstance(d, numbers.Real):  # "0.1" would reach a comparison
+        raise ValueError(f"diffusivity must be a real number, got {d!r}")
     if not 0.0 <= d <= 0.5:
         raise StabilityError(f"diffusivity {d} outside the stable range [0, 1/2]")
     if d == 0.0:

@@ -10,6 +10,7 @@ the one SciPy path the fit uses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,6 +109,8 @@ def fit_stretched_exponential(t, values, m: float) -> FitResult:
         raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples to fit, got {t.size}")
     if not np.all(np.isfinite(t)):
         raise ValueError("times must be finite")
+    if not isinstance(m, numbers.Real):  # "1" would reach a comparison
+        raise ValueError(f"initial norm m must be a real number, got {m!r}")
     if not 0.0 < m < math.inf:
         raise ValueError(f"initial norm m must be finite and positive, got {m}")
     if not np.all((y >= 0) & (y < np.inf)):

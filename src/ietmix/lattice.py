@@ -79,6 +79,8 @@ def subsegment_lengths(n: int, ratio: Ratio) -> np.ndarray:
     coprime as a set. Totals beyond the 64-bit budget raise CapacityError
     instead of degrading to floats.
     """
+    if not isinstance(ratio, Ratio):  # "5/4", (5, 4) and 1.25 have no terms to read
+        raise ValueError(f"ratio must be a Ratio, got {ratio!r}")
     n = as_piece_count(n)
     lengths = [ratio.num**j * ratio.den ** (n - 1 - j) for j in range(n)]
     if sum(lengths) > _MAX_LENGTH:
@@ -348,16 +350,12 @@ def _itinerary(starts: np.ndarray, shift: np.ndarray, piece: np.ndarray, end: in
         first = starts.searchsorted(image, side="right") - 1
         spans = starts.searchsorted(np.append(starts[1:], end) + shift) - first
         # j is the interval of the table that each piece of an image lies in.
-        j = np.repeat(np.cumsum(spans) - spans - first, spans)
-        np.subtract(np.arange(len(j)), j, out=j)
+        j = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans - first, spans)
         pair = np.stack((np.repeat(steps, spans), steps.take(j)), axis=1)
         steps = pair.view(np.dtype((np.void, pair.itemsize * 2))).ravel()
-        # In place, so that the doubling holds few arrays of the new table's length at once.
-        cut = np.repeat(image, spans)
-        np.maximum(cut, starts.take(j), out=cut)
         moved = np.repeat(shift, spans)
-        starts = np.subtract(cut, moved, out=cut)
-        shift = np.add(moved, shift.take(j), out=moved)
+        starts = np.maximum(np.repeat(image, spans), starts.take(j)) - moved
+        shift = moved + shift.take(j)
     return starts, shift, steps
 
 
@@ -395,7 +393,6 @@ def cut_counts(n: int, ratio: Ratio, t_max: int, permutations) -> np.ndarray:
     # identity's (the fixed cuts) lose one, and the pair across the two lists is none.
     seams = np.hstack((piece, piece * 0 + np.arange(n))) + np.arange(0, pos.size, 2 * n)[:, None]
     ends = np.stack((seams[:, :-1] + n, seams[:, 1:]))
-    del seams  # the loop keeps only ends
     weight = np.repeat(np.int8([1, 0, -1]), [n - 1, 1, n - 1])  # |made - lost| < N
     budget, k = max(_BLOCK_BYTES, _END_BYTES * pos.size), 1
     while 2 * k < t_max and len(piece) * (2 * k * (n - 1) + 1) * (2 * k + 16) <= budget:

@@ -22,8 +22,11 @@ from .diffusion import diffusivity_from_peclet, match_iterations
 from .fitting import FitResult, efolding_time, fit_stretched_exponential
 from .lattice import Ratio, cut_counts, evolve, initial_field, total_length
 from .metrics import MetricSeries, check_norm_order, mean_lengths, mixing_norm
-from .permutations import as_orders, as_piece_count, screen
+from .permutations import as_orders, as_piece_count, screen, whole_number
 from .stopping import StoppingTimeSolution, solve_stopping_time
+
+#: The most orders one lattice.cut_counts call takes: diffusion-free runs go in such blocks.
+_ORDERS_PER_CALL = 1024
 
 
 @dataclass(frozen=True)
@@ -89,14 +92,15 @@ def run_ensemble(
     Diffusive orders evolve together as one batched block
     (lattice.evolve). Without diffusion every state is a permutation of
     the initial field, so the norm is its T = 0 value, held once as a
-    read-only broadcast; the cut counts come from lattice.cut_counts,
-    which follows only the piece ends. runs=False leaves the cut counts
-    and runs out of the series, and evolve skips its run scan.
+    read-only broadcast; the cut counts come from lattice.cut_counts, a
+    block of orders a call, which follows only the piece ends. runs=False
+    leaves the cut counts and runs out of the series, and evolve skips its run scan.
     """
     n = as_piece_count(n)
     orders = as_orders(screen(n)[0] if permutations is None else permutations)
-    if d == 0.0:
-        counts = cut_counts(n, ratio, t_max, orders)  # also checks n and t_max
+    if d == 0.0:  # the first call also checks n and t_max
+        blocks = np.split(orders, range(_ORDERS_PER_CALL, len(orders), _ORDERS_PER_CALL))
+        counts = np.concatenate([cut_counts(n, ratio, t_max, block) for block in blocks])
         field = initial_field(n, ratio)
         cbar = float(field.mean())
         norms = np.broadcast_to(mixing_norm(field, cbar, p), counts.shape)
@@ -287,32 +291,40 @@ def steepening_report(
     """Stopping times, and the cut-off sharpening, across an ascending Peclet sweep.
 
     The diffusion-free cut counts of every allowed order are followed
-    once, by lattice.cut_counts, which needs no field; their average
-    predicts the stopping time of every Pe. Each Pe's diffusivity is
-    derived, and its stability checked, by diffusivity_from_peclet. With max_slopes the
+    once, by lattice.cut_counts, which needs no field, and reduced a block
+    of orders at a time; their average predicts the stopping time of every
+    Pe, and diffusivity_from_peclet derives each Pe's stable D. With max_slopes the
     diffusive ensemble of each Pe whose crossing happens is run too, and
     the steepest descent of norm/M against T / stopping time reported
     (only their averaged norm is read, so none is fitted); otherwise
     max_slope stays None. A Pe whose crossing never happens
     yields a flagged row rather than failing the sweep.
     """
-    pe_seq = [float(pe) for pe in pe_list]
+    listed = np.iterable(pe_list) and not isinstance(pe_list, (str, bytes))  # "123" is no list
+    pe_seq = list(pe_list) if listed else [pe_list]
+    if not listed or not all(isinstance(pe, numbers.Real) for pe in pe_seq):
+        raise ValueError(f"pe_list must be a sequence of real numbers, got {pe_list!r}")
+    pe_seq = [float(pe) for pe in pe_seq]
     if not pe_seq or pe_seq[0] <= 0:
         raise ValueError("pe_list must be nonempty and positive")
     if any(b <= a for a, b in zip(pe_seq, pe_seq[1:])):
         raise ValueError("pe_list must be strictly ascending")
+    t_max, given = whole_number(t_max), t_max
+    if t_max is None:
+        raise ValueError(f"t_max must be an integer, got {given!r}")
     check_norm_order(p)  # refused even when no norm is taken
     length = total_length(n, ratio)
     diffusivities = [diffusivity_from_peclet(length, pe, t_max) for pe in pe_seq]
     orders = as_orders(screen(n)[0])
-    counts = cut_counts(n, ratio, t_max, orders)  # no field: only the cut counts are read
-    avg_cut = counts.mean(axis=0)  # EnsembleResult's averages, so the same bits
-    lengths_curve = None
-    if use_mean_lengths:  # mean_lengths(counts).mean(axis=0), bit for bit, in blocks of rows
-        total, step = np.zeros(t_max + 1), 1024
-        for k in range(0, len(counts), step):  # a mean adds the rows in order, as here
-            total = np.concatenate((total[None], mean_lengths(counts[k : k + step]))).sum(axis=0)
-        lengths_curve = total / len(counts)
+    # Reduced to the bits of .mean(axis=0): exact int64 sums; a row sum carried as a mean adds.
+    cuts, lengths = 0, np.zeros(t_max + 1)
+    for block in np.split(orders, range(_ORDERS_PER_CALL, len(orders), _ORDERS_PER_CALL)):
+        counts = cut_counts(n, ratio, t_max, block)  # no field: only the cut counts are read
+        cuts += counts.sum(axis=0)
+        if use_mean_lengths:
+            lengths = np.concatenate((lengths[None], mean_lengths(counts))).sum(axis=0)
+    avg_cut = cuts / len(orders)
+    lengths_curve = lengths / len(orders) if use_mean_lengths else None
     rows = []
     for pe, d in zip(pe_seq, diffusivities):
         sol = solve_stopping_time(avg_cut, pe, t_max, mean_lengths=lengths_curve)

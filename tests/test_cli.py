@@ -505,6 +505,39 @@ def test_stopping_time_reads_no_field(tmp_path):
     assert row[2:4] == ["False", ""]
 
 
+# cut_counts takes the orders 1,024 at a time, so only 1,024 rows lie end to end:
+# n = 9 at r = 51/50 (L = 3.8e14) fits 64 bits, which all 255,276 orders did not.
+def test_stopping_time_reaches_every_order_beyond_the_whole_run_capacity(tmp_path):
+    proc = _probe(_UNDER_2_GB, ["stopping-time", "--n", "9", "--ratio", "51/50",
+                                "--tmax", "3", "--pe", "1e30", "--out", "out"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pe=1e+30: no crossing within tmax=3\n"
+
+
+def test_stopping_time_refuses_a_block_beyond_64_bits(tmp_path, capsys):
+    code = run_cli("stopping-time", "--n", "9", "--ratio", "101/100", "--tmax", "3",
+                   "--pe", "1e34", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert capsys.readouterr().err == ("error: 1024 orders of length 93685272684360901 "
+                                       "exceed 64-bit capacity (n=9, r=101/100)\n")
+    assert not (tmp_path / "out").exists()
+
+
+# n = 7 has 3,198 orders, four blocks of cut_counts, and these Pe cross: the
+# averages read across blocks, in both modes (digests taken when cut_counts took
+# every order at once).
+@pytest.mark.parametrize("mode, digest", [
+    ("count", "d16d20e522d8177f27493cfa8386a732392e6e9b950043bb8cd879328a9b3f30"),
+    ("length", "ab305676c2b4cb77aa9d74a2376ee5cb9d04c6127c3921acd8b781ddc498d37a"),
+])
+def test_stopping_time_averages_across_blocks_keep_their_bytes(tmp_path, capsys, mode, digest):
+    assert run_cli("stopping-time", "--n", "7", "--ratio", "5/4", "--tmax", "1500",
+                   "--pe", "5.1e6", "--pe", "5.1e7", "--pe", "5.1e8", "--lm-mode", mode,
+                   "--out", str(tmp_path)) == 0
+    blob = (tmp_path / "stopping_times.csv").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
 def test_config_file_supplies_defaults(tmp_path):
     cfg = {"n": 4, "ratio": "3/2", "perm": "3,1,4,2", "tmax": 2,
            "format": None}

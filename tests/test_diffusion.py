@@ -57,6 +57,8 @@ def test_stability_window_enforced():
         diffusion_step([0.0, 1.0, 0.0], 0.51)
     with pytest.raises(ValueError):
         diffusion_step([0.0, 1.0], 0.25)
+    with pytest.raises(ValueError, match="^diffusivity must be a real number, got '0.1'$"):
+        diffusion_step([0.0, 1.0, 0.0], "0.1")
 
 
 @given(fields, st.floats(min_value=0.0, max_value=0.5))

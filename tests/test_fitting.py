@@ -118,6 +118,8 @@ def test_fit_input_validation():
     for bad_m in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             fit_stretched_exponential(t, y, bad_m)
+    with pytest.raises(ValueError, match="^initial norm m must be a real number, got '1'$"):
+        fit_stretched_exponential(t, y, "1")
     for bad_value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fit_stretched_exponential(t, np.where(t == 5.0, bad_value, y), 1.0)

@@ -20,6 +20,7 @@ from ietmix.lattice import (
     total_length,
 )
 from ietmix.metrics import compute_series
+from ietmix.runner import run_ensemble, steepening_report, table_one
 
 
 def test_ratio_is_stored_reduced():
@@ -43,6 +44,14 @@ def test_ratio_rejects_non_expanding_values():
         with pytest.raises(ValueError, match="ratio terms must be integers"):
             Ratio(num, den)
     assert Ratio(5.0, 4.0) == Ratio(5, 4)
+    # A ratio that is not a Ratio is refused wherever the piece lengths are read.
+    calls = (lambda r: total_length(4, r), lambda r: initial_field(4, r),
+             lambda r: cut_counts(4, r, 3, [(3, 1, 4, 2)]), lambda r: run_ensemble(4, r, 0.0, 3),
+             lambda r: steepening_report(4, r, 120, [80.0]), lambda r: table_one([r]))
+    for ratio in ("5/4", (5, 4), 1.25):
+        for call in calls:
+            with pytest.raises(ValueError, match="^ratio must be a Ratio, got "):
+                call(ratio)
 
 
 def test_ratio_parse_fractions_only():

@@ -6,6 +6,7 @@ import os
 import pickle
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,11 @@ def test_steepening_validates_the_sweep():
         steepening_report(4, Ratio(3, 2), 120, [-1.0, 20.0])
     with pytest.raises(ValueError, match="norm order must be a finite p >= 1, got 0.5"):
         steepening_report(4, Ratio(3, 2), 120, [40.0], p=0.5, max_slopes=False)
+    for pe_list in (5.0, "123", ["80"]):
+        with pytest.raises(ValueError, match="^pe_list must be a sequence of real numbers"):
+            steepening_report(4, Ratio(3, 2), 120, pe_list)
+    with pytest.raises(ValueError, match="^t_max must be an integer, got '100'"):
+        steepening_report(4, Ratio(3, 2), "100", [80.0])
 
 
 # --lm-mode length averages 1/(C+1) over the orders a block of rows at a time,
@@ -151,6 +157,44 @@ def test_length_mode_averages_the_striation_lengths_of_every_order(monkeypatch):
     steepening_report(7, Ratio(5, 4), 200, [1e9], use_mean_lengths=True, max_slopes=False)
     counts = cut_counts(7, Ratio(5, 4), 200, screen(7)[0])
     assert np.array_equal(seen[0], mean_lengths(counts).mean(axis=0))
+
+
+def test_count_mode_averages_the_cut_counts_of_every_order(monkeypatch):
+    seen = []
+    solve = runner.solve_stopping_time
+    monkeypatch.setattr(runner, "solve_stopping_time",
+                        lambda *args, **kw: seen.append(args[0]) or solve(*args, **kw))
+    steepening_report(7, Ratio(5, 4), 200, [1e9], max_slopes=False)
+    counts = cut_counts(7, Ratio(5, 4), 200, screen(7)[0])
+    assert np.array_equal(seen[0], counts.mean(axis=0))
+
+
+def test_diffusion_free_runs_hand_cut_counts_one_block_of_orders_a_call(monkeypatch):
+    sizes = []
+    count = runner.cut_counts
+    monkeypatch.setattr(runner, "cut_counts",
+                        lambda n, ratio, t_max, orders: sizes.append(len(orders))
+                        or count(n, ratio, t_max, orders))
+    steepening_report(7, Ratio(5, 4), 20, [1e9], use_mean_lengths=True, max_slopes=False)
+    ens = run_ensemble(7, Ratio(5, 4), 0.0, 20)
+    assert np.array_equal(ens.series.cut_count, count(7, Ratio(5, 4), 20, screen(7)[0]))
+    assert sizes == [1024, 1024, 1024, 126] * 2
+
+
+# Each block is reduced as it arrives: neither mode holds the (P, T+1) counts.
+# Blocks of 256 keep a block's few buffers small beside n = 7's 3,198 orders.
+@pytest.mark.parametrize("lengths", [False, True], ids=["count", "length"])
+def test_stopping_time_holds_no_counts_of_every_order(monkeypatch, lengths):
+    monkeypatch.setattr(runner, "_ORDERS_PER_CALL", 256)
+    orders = screen(7)[0]
+    tracemalloc.start()
+    try:
+        steepening_report(7, Ratio(5, 4), 1000, [1e9], use_mean_lengths=lengths,
+                          max_slopes=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(orders) * 1001 * 8 / 2
 
 
 def test_table_one_reference_row():
